@@ -200,9 +200,8 @@ def cmd_classify(args) -> int:
     doc = load_document(args.input)
     model = FluxModel.from_json(doc.get("flux"))
     state = parse_state(doc)
-    verdict = classify_2x2(model, state)
-    if args.tolerance is not None:
-        verdict = classify_2x2(model, state, eq_tol=args.tolerance)
+    options = {} if args.tolerance is None else {"eq_tol": args.tolerance}
+    verdict = classify_2x2(model, state, **options)
     row = [[verdict.bad_count, verdict.row, verdict.admissible,
             " ".join(str(p) for p in verdict.permutation)]]
     emit(args, verdict.to_json(), ["bad_count", "row", "admissible", "permutation"],

@@ -133,17 +133,17 @@ SolverFn = Callable[[RiemannState], TraceSolution]
 
 def check_flux_balance(solution: TraceSolution, tol: float = BALANCE_TOL) -> bool:
     """Whether incoming and outgoing total flux agree within ``tol``."""
-    topo = solution.state.topology
-    return abs(sum(solution.gamma[:topo.n]) - sum(solution.gamma[topo.n:])) <= tol
+    return abs(flux_imbalance(solution.state.topology, solution.gamma)) <= tol
 
 
 def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float,
                        keep_tol: float = KEEP_TOL) -> float:
     """Node-side trace of an incoming arc passing flux ``gamma``.
 
-    Keeps the initial datum when it already carries the flux; otherwise the trace is
-    the unique admissible density on the decreasing branch. ``gamma`` must lie in the
-    demand interval of ``rho0``.
+    Keeps the initial datum when it already carries the flux, and snaps a flux within
+    ``keep_tol`` of f_max to sigma (inverting at the peak is ill-conditioned); otherwise
+    the trace is the unique admissible density on the decreasing branch. ``gamma`` must
+    lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
     if not model.demand(rho0).contains(gamma):
@@ -151,6 +151,8 @@ def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float,
             f"flux {gamma!r} outside demand of incoming datum {rho0!r}")
     if abs(float(model.value(rho0)) - gamma) <= keep_tol:
         return rho0
+    if model.f_max - gamma <= keep_tol:
+        return model.sigma
     return model.invert(gamma, DECREASING)
 
 
@@ -167,6 +169,8 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float,
             f"flux {gamma!r} outside supply of outgoing datum {rho0!r}")
     if abs(float(model.value(rho0)) - gamma) <= keep_tol:
         return rho0
+    if model.f_max - gamma <= keep_tol:
+        return model.sigma
     return model.invert(gamma, INCREASING)
 
 

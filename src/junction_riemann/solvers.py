@@ -15,9 +15,10 @@ Five solvers are provided, all mapping a :class:`RiemannState` to a
                         global entropy condition; a finite case split on the number of
                         bad data.
 
-The optimization helpers (exact low-dimensional vertex enumeration, capped-simplex
-projection by bisection on the KKT shift) are deliberately simple and are cross-checked
-against independent oracles in the test suite.
+The optimization helpers (exact vertex enumeration for the flux maximization, one
+numpy path for every arc count, and capped-simplex projection by bisection on the KKT
+shift) are deliberately simple and are cross-checked against independent oracles in the
+test suite.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .entropy import SIGMA_TIE
 from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
 from .flux import DECREASING, INCREASING, FluxModel
 from .junction import (NodeTopology, RiemannState, TraceSolution,
                        trace_in_from_flux, trace_out_from_flux)
-
-#: good/bad tie window around sigma (a trace at sigma is good in both directions).
-SIGMA_TIE = 1e-12
 
 #: flux comparisons closer than this are treated as ties in the 2x2 case split.
 FLUX_TIE = 1e-11
@@ -166,125 +165,60 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...], tol: float) -> bool:
 
 # -- linear programming over the demand box / supply polytope --------------------------
 
-def _solve_square(M: list[list[float]], r: list[float]) -> list[float] | None:
-    """Cramer solve for 1x1/2x2/3x3 systems; None when close to singular."""
-    n = len(r)
-    if n == 1:
-        d = M[0][0]
-        return None if abs(d) < 1e-12 else [r[0] / d]
-    if n == 2:
-        d = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        if abs(d) < 1e-12:
-            return None
-        return [(r[0] * M[1][1] - M[0][1] * r[1]) / d,
-                (M[0][0] * r[1] - r[0] * M[1][0]) / d]
-
-    def det3(a):
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-    d = det3(M)
-    if abs(d) < 1e-12:
-        return None
-    out = []
-    for col in range(3):
-        Mc = [row[:] for row in M]
-        for i in range(3):
-            Mc[i][col] = r[i]
-        out.append(det3(Mc) / d)
-    return out
-
-
 def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float],
                              matrix, feas_tol: float = 1e-9,
                              match_tol: float = 1e-9) -> tuple[float, ...]:
     """Maximize sum(gamma) over {0 <= gamma <= caps_in, 0 <= A gamma <= caps_out}.
 
-    Exact vertex enumeration for n <= 3; a bounded-variable simplex (HiGHS) with a
-    uniqueness probe beyond that. A detected tie between geometrically distinct optima
-    raises DegeneracyError (the numerical signature of a matrix outside the
-    uniqueness class).
+    Exact vertex enumeration for every n: each vertex solves n of the constraints
+    {-gamma_i <= 0, gamma_i <= caps_in_i, (A gamma)_j <= caps_out_j} with equality,
+    and the inverses of those n x n systems are cached per matrix. Feasible vertices
+    within ``match_tol`` of the best sum must coincide within ``match_tol``; a tie
+    between geometrically distinct optima raises DegeneracyError (the numerical
+    signature of a matrix outside the uniqueness class).
     """
-    if isinstance(matrix, DistributionMatrix):
-        A = [list(r) for r in matrix.rows]
-    else:
-        A = [[float(a) for a in row] for row in matrix]
+    rows = matrix.rows if isinstance(matrix, DistributionMatrix) else \
+        tuple(tuple(float(a) for a in row) for row in matrix)
     b = [float(x) for x in caps_in]
     c = [float(x) for x in caps_out]
     n, m = len(b), len(c)
-    if len(A) != m or any(len(row) != n for row in A):
+    if len(rows) != m or any(len(row) != n for row in rows):
         raise InvalidMatrixError("matrix shape does not match the cap vectors")
     if any(x < -1e-12 for x in b) or any(x < -1e-12 for x in c):
         raise InadmissibleFluxError("caps must be nonnegative")
-    b = [max(0.0, x) for x in b]
-    c = [max(0.0, x) for x in c]
-
-    if n > 3:
-        return _lp_simplex(b, c, A, match_tol)
-
-    rows: list[list[float]] = []
-    rhs: list[float] = []
-    for i in range(n):
-        low = [0.0] * n
-        low[i] = -1.0
-        rows.append(low)
-        rhs.append(0.0)
-        high = [0.0] * n
-        high[i] = 1.0
-        rows.append(high)
-        rhs.append(b[i])
-    for j in range(m):
-        rows.append(list(A[j]))
-        rhs.append(c[j])
-
-    vertices: list[list[float]] = []
-    for combo in itertools.combinations(range(len(rows)), n):
-        sol = _solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
-        if sol is None:
-            continue
-        if any(sum(rw[k] * sol[k] for k in range(n)) > rr + feas_tol
-               for rw, rr in zip(rows, rhs)):
-            continue
-        if not any(max(abs(x - y) for x, y in zip(sol, v)) <= match_tol
-                   for v in vertices):
-            vertices.append(sol)
-    if not vertices:
+    normals, subsets, inverses = _vertex_systems(rows)
+    rhs = np.concatenate([np.zeros(n), np.maximum(b, 0.0), np.maximum(c, 0.0)])
+    vertices = np.einsum("kij,kj->ki", inverses, rhs[subsets])
+    feasible = vertices[(normals @ vertices.T <= rhs[:, None] + feas_tol).all(axis=0)]
+    if not len(feasible):
         raise InadmissibleFluxError("empty feasible set (should not happen: 0 is in it)")
-    best = max(sum(v) for v in vertices)
-    top = [v for v in vertices if sum(v) >= best - match_tol]
-    for v, w in itertools.combinations(top, 2):
-        if max(abs(x - y) for x, y in zip(v, w)) > match_tol:
-            raise DegeneracyError(
-                "flux maximizer is not unique; matrix outside the uniqueness class")
-    return tuple(max(top, key=sum))
-
-
-def _lp_simplex(b: list[float], c: list[float], A: list[list[float]],
-                match_tol: float) -> tuple[float, ...]:
-    from scipy.optimize import linprog
-
-    n = len(b)
-    res = linprog(c=[-1.0] * n, A_ub=A, b_ub=c, bounds=list(zip([0.0] * n, b)),
-                  method="highs")
-    if not res.success:
-        raise InadmissibleFluxError(f"flux maximization failed: {res.message}")
-    e0 = float(res.x.sum())
-    # probe the optimal face along a generic direction from both sides
-    A_face = A + [[-1.0] * n]
-    c_face = c + [-(e0 - match_tol)]
-    w = np.random.default_rng(7).uniform(0.5, 1.5, n)
-    probes = []
-    for sign in (-1.0, 1.0):
-        p = linprog(c=sign * w, A_ub=A_face, b_ub=c_face,
-                    bounds=list(zip([0.0] * n, b)), method="highs")
-        if not p.success:
-            raise InadmissibleFluxError(f"uniqueness probe failed: {p.message}")
-        probes.append(p.x)
-    if float(np.max(np.abs(probes[0] - probes[1]))) > 10.0 * match_tol:
+    sums = feasible.sum(axis=1)
+    best = int(np.argmax(sums))
+    top = feasible[sums >= sums[best] - match_tol]
+    if float((top.max(axis=0) - top.min(axis=0)).max()) > match_tol:
         raise DegeneracyError(
             "flux maximizer is not unique; matrix outside the uniqueness class")
-    return tuple(float(x) for x in res.x)
+    return tuple(feasible[best].tolist())
+
+
+@lru_cache(maxsize=64)
+def _vertex_systems(rows: tuple[tuple[float, ...], ...]):
+    """Constraint normals of the LP, the nonsingular n-subsets and their inverses.
+
+    At most C(2n+m, n) subsets: up to about 0.1 MB for 4x5, 5 MB for 6x6 and 45 MB
+    for 7x7 per matrix, hence the small cache. The arrays are shared by every call,
+    so they are read-only.
+    """
+    A = np.asarray(rows, dtype=float)
+    n = A.shape[1]
+    normals = np.vstack([-np.eye(n), np.eye(n), A])
+    subsets = np.array(list(itertools.combinations(range(len(normals)), n)))
+    systems = normals[subsets]
+    regular = np.abs(np.linalg.det(systems)) >= 1e-12
+    out = (normals, subsets[regular], np.linalg.inv(systems[regular]))
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 # -- projection onto a capped simplex --------------------------------------------------

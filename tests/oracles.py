@@ -132,6 +132,23 @@ def lp_best_grid_value(caps_in, caps_out, matrix, points: int = 1000) -> float:
     return float(vals.max())
 
 
+def lp_linprog_value(caps_in, caps_out, matrix) -> float:
+    """Optimal sum(gamma) over {0 <= gamma <= caps_in, A gamma <= caps_out}.
+
+    Solved by scipy's HiGHS ``linprog``, a simplex code independent of the package's
+    vertex enumeration; any n.
+    """
+    from scipy.optimize import linprog
+
+    b = np.asarray(caps_in, dtype=float)
+    res = linprog(-np.ones(b.size), A_ub=np.asarray(matrix, dtype=float),
+                  b_ub=np.asarray(caps_out, dtype=float),
+                  bounds=[(0.0, x) for x in b], method="highs")
+    if not res.success:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return float(-res.fun)
+
+
 def ones_in_span(vectors, tol: float = 1e-10) -> bool:
     """Literal check that the all-ones vector lies in the span of ``vectors``."""
     V = np.atleast_2d(np.asarray(vectors, dtype=float))

@@ -17,6 +17,7 @@ from junction_riemann import (
     NodeTopology,
     RiemannState,
     check_E1,
+    classify_2x2,
     rs1_solve,
 )
 from junction_riemann.cli import eval_expr, format_float, main, resolve_numbers
@@ -289,6 +290,23 @@ def test_classify_tolerance_flag(tmp_path, capsys):
     assert main(["classify", "--input", path, "--tolerance", "1e-6"]) == 0
     loose = json.loads(capsys.readouterr().out)
     assert loose["row"] == "0-bad" and loose["admissible"]
+
+
+def test_classify_tolerance_flag_classifies_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return classify_2x2(*args, **kwargs)
+
+    monkeypatch.setattr("junction_riemann.cli.classify_2x2", counting)
+    doc = {"state": {"n": 2, "m": 2, "rho": [0.5 + 2e-7, 0.5, 0.5, 0.5]}}
+    path = write_doc(tmp_path, "d.json", doc)
+    assert main(["classify", "--input", path, "--tolerance", "1e-6"]) == 0
+    assert calls == [{"eq_tol": 1e-6}]
+    assert main(["classify", "--input", path]) == 0
+    assert calls == [{"eq_tol": 1e-6}, {}]
+    capsys.readouterr()
 
 
 # -- simulate -----------------------------------------------------------------------------

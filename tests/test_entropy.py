@@ -26,12 +26,15 @@ from junction_riemann import (
     face_active_set,
     face_entropy_closed_form,
     face_objective_equivalence,
+    matrix_in_n,
     random_balanced_state,
     random_state,
     restricted_entropy_g,
+    rs1_solve,
     trace_in_from_flux,
     trace_out_from_flux,
 )
+from junction_riemann.entropy import ENTROPY_TOL
 from oracles import entropy_flux_grid
 
 SQ = math.sqrt
@@ -208,6 +211,26 @@ def test_classify_agrees_with_check_E1_on_samples(quad):
         verdict = classify_2x2(quad, state)
         report = check_E1(quad, state)
         assert verdict.admissible == report.satisfied_E1
+
+
+def test_classify_agrees_with_check_E1_on_rs1_outputs(quad):
+    # rs1 often puts a trace at the flux peak; it must land on sigma itself, since an
+    # inversion one ulp below f_max is off by about 5e-9, beyond the 1e-10 eq window
+    rng = default_rng(5)
+    mismatches = []
+    for _ in range(3000):
+        while True:
+            a = rng.uniform(0.1, 1.0, (2, 2))
+            matrix = DistributionMatrix.from_rows(a / a.sum(axis=0))
+            if matrix_in_n(matrix, T22):
+                break
+        state = rs1_solve(quad, matrix, random_state(rng, T22)).state
+        report = check_E1(quad, state)
+        if abs(report.min_value + ENTROPY_TOL) <= 1e-11:
+            continue  # on the E1 threshold itself either verdict is fair
+        if classify_2x2(quad, state).admissible != report.satisfied_E1:
+            mismatches.append(state.rho)
+    assert mismatches == []
 
 
 def test_classification_serialization(quad):

@@ -40,7 +40,7 @@ from junction_riemann import (
     rs_e1_2x2_solve,
     solver_from_config,
 )
-from oracles import capped_simplex_projection_kkt, lp_best_grid_value
+from oracles import capped_simplex_projection_kkt, lp_best_grid_value, lp_linprog_value
 
 SQ = math.sqrt
 T11 = NodeTopology(1, 1)
@@ -126,13 +126,53 @@ def test_lp_degenerate_matrix_detected():
 
 
 def test_lp_large_n_uses_simplex():
-    # 4 incoming arcs exercises the scipy path; compare against loose caps
+    # 4 incoming arcs; loose caps make the box corner caps_in optimal
     rows = [[0.2, 0.25, 0.3, 0.21], [0.35, 0.3, 0.29, 0.33], [0.45, 0.45, 0.41, 0.46]]
     matrix = DistributionMatrix.from_rows(rows)
     caps_in = (0.3, 0.4, 0.2, 0.5)
     caps_out = (1.0, 1.0, 1.0)
     got = lp_maximize_box_polytope(caps_in, caps_out, matrix)
     assert got == pytest.approx(caps_in, abs=1e-9)
+
+
+def _certified_matrix(rng, n: int, m: int) -> DistributionMatrix:
+    while True:
+        a = rng.uniform(0.1, 1.0, (m, n))
+        matrix = DistributionMatrix.from_rows(a / a.sum(axis=0))
+        if matrix_in_n(matrix, NodeTopology(n, m)):
+            return matrix
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (4, 5), (5, 6), (6, 6)])
+def test_lp_and_rs1_match_linprog_beyond_three_arcs(any_model, n, m):
+    # certified matrices have a unique maximizer, so no DegeneracyError may escape
+    rng = default_rng(17 * n + m)
+    topo = NodeTopology(n, m)
+    for _ in range(2):
+        matrix = _certified_matrix(rng, n, m)
+        A = matrix.as_array()
+        for _ in range(8):
+            data = random_state(rng, topo)
+            caps_in = [any_model.demand(r).sup for r in data.incoming]
+            caps_out = [any_model.supply(r).sup for r in data.outgoing]
+            best = lp_linprog_value(caps_in, caps_out, A)
+            got = np.asarray(lp_maximize_box_polytope(caps_in, caps_out, matrix))
+            assert got.sum() == pytest.approx(best, abs=1e-8)
+            assert np.all(got >= -1e-9) and np.all(got <= np.asarray(caps_in) + 1e-9)
+            assert np.all(A @ got <= np.asarray(caps_out) + 1e-9)
+            solution = rs1_solve(any_model, matrix, data)
+            assert solution.balanced and solution.admissible
+            assert sum(solution.gamma[:n]) == pytest.approx(best, abs=1e-8)
+
+
+def test_lp_wide_degenerate_matrix_detected():
+    # equal first two columns: the split between arcs 0 and 1 on the optimal face is free
+    rows = [[0.1, 0.1, 0.2, 0.3], [0.2, 0.2, 0.3, 0.1], [0.3, 0.3, 0.1, 0.2],
+            [0.4, 0.4, 0.4, 0.4]]
+    matrix = DistributionMatrix.from_rows(rows)
+    assert not matrix_in_n(matrix, NodeTopology(4, 4))
+    with pytest.raises(DegeneracyError):
+        lp_maximize_box_polytope((0.5,) * 4, (1.0, 1.0, 1.0, 0.3), matrix)
 
 
 # -- projection -------------------------------------------------------------------------
