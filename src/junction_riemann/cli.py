@@ -209,26 +209,61 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str) -> list[float]:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of numbers, got {value!r}")
+    return [_number(v, what) for v in value]
+
+
+def parse_simulation(doc: dict, state: RiemannState) -> dict:
+    """The simulate fields of a document, as keyword arguments of ``SimConfig``
+    (``cfl``, ``t_end``) and of ``make_grids`` (``initial``, ``cells``,
+    ``length``), plus ``snapshots``. The initial profiles default to the state's
+    densities. Any malformed field raises InputError."""
+    cells = _number(doc.get("cells", 200), "'cells'")
+    if cells != int(cells):
+        raise InputError(f"'cells' must be an integer, got {doc['cells']!r}")
+    initial = doc.get("initial", list(state.rho))
+    if not isinstance(initial, list):
+        raise InputError(f"'initial' must be a list, got {initial!r}")
+    return {
+        "cfl": _number(doc.get("cfl", 0.5), "'cfl'"),
+        "t_end": _number(doc.get("t_end", 1.0), "'t_end'"),
+        "initial": [_numbers(p, "'initial' profile") if isinstance(p, list)
+                    else _number(p, "'initial' value") for p in initial],
+        "cells": int(cells),
+        "length": _number(doc.get("length", 1.0), "'length'"),
+        "snapshots": _numbers(doc.get("snapshots", []), "'snapshots'"),
+    }
+
+
 def cmd_simulate(args) -> int:
     doc = load_document(args.input)
     model = FluxModel.from_json(doc.get("flux"))
     state = parse_state(doc)
     solver = build_solver(doc, args, model, state.topology)
-    config = SimConfig(flux=model, solver=solver,
-                       cfl=float(doc.get("cfl", 0.5)),
-                       t_end=float(doc.get("t_end", 1.0)))
-    initial = doc.get("initial", list(state.rho))
-    grids = make_grids(state.topology, initial,
-                       cells=int(doc.get("cells", 200)),
-                       length=float(doc.get("length", 1.0)))
-    result = run(config, grids, snapshot_times=doc.get("snapshots", ()))
+    sim = parse_simulation(doc, state)
+    config = SimConfig(flux=model, solver=solver, cfl=sim["cfl"], t_end=sim["t_end"])
+    grids = make_grids(state.topology, sim["initial"], cells=sim["cells"],
+                       length=sim["length"])
+    result = run(config, grids, snapshot_times=sim["snapshots"])
     summary = summary_json(result)
     if args.output:
-        write_snapshots_csv(result, args.output + "_snapshots.csv")
-        write_mass_csv(result, args.output + "_mass.csv")
-        with open(args.output + "_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        try:
+            write_snapshots_csv(result, args.output + "_snapshots.csv")
+            write_mass_csv(result, args.output + "_mass.csv")
+            with open(args.output + "_summary.json", "w") as fh:
+                json.dump(summary, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}") from exc
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return 0
 

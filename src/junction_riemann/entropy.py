@@ -111,7 +111,13 @@ def check_E1(model: FluxModel, state: RiemannState,
 
 def check_E2(model: FluxModel, state: RiemannState,
              tol: float = ENTROPY_TOL) -> EntropyReport:
-    """Evaluate only the single-constant condition at k = sigma."""
+    """Evaluate only the single-constant condition at k = sigma.
+
+    The condition separates solvers only on square nodes. For n != m every
+    balanced state whose traces all lie at or below sigma has
+    F(rho, sigma) = (n - m) f_max, and one whose traces all lie at or above sigma
+    has (m - n) f_max, whatever solver produced it; one of the two is negative.
+    """
     _require_balanced(model, state)
     at_sigma = entropy_flux(model, state, model.sigma)
     return EntropyReport(min_value=None, argmin_k=None, candidates=(),

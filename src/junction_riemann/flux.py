@@ -158,26 +158,44 @@ class FluxModel:
     def value(self, rho):
         """Flux at density ``rho``; accepts scalars or numpy arrays."""
         if np.isscalar(rho):
-            rho = _check_density(rho)
-        else:
-            arr = np.asarray(rho, dtype=float)
-            if arr.size and (not np.all(np.isfinite(arr))
-                             or arr.min() < -_DOMAIN_SLACK
-                             or arr.max() > RHO_MAX + _DOMAIN_SLACK):
-                raise DomainError(f"densities outside [0, {RHO_MAX}]")
-            rho = np.clip(arr, 0.0, RHO_MAX)
-        if self.kind == "quadratic":
-            c = self.params["coefficient"]
-            return c * rho * (RHO_MAX - rho) if np.isscalar(rho) \
-                else c * np.asarray(rho) * (RHO_MAX - np.asarray(rho))
-        if self.kind == "triangular":
-            s, fm = self.params["sigma"], self.params["f_max"]
-            if np.isscalar(rho):
+            return self._value(_check_density(rho))
+        arr = np.asarray(rho, dtype=float)
+        if arr.size and (not np.all(np.isfinite(arr))
+                         or arr.min() < -_DOMAIN_SLACK
+                         or arr.max() > RHO_MAX + _DOMAIN_SLACK):
+            raise DomainError(f"densities outside [0, {RHO_MAX}]")
+        return self._value(np.clip(arr, 0.0, RHO_MAX))
+
+    def _value(self, rho, out=None, work=None):
+        """:meth:`value` without the domain check, for densities already in [0, 1].
+
+        A scalar gives a float. An array gives an array, written into ``out`` when
+        that is given; ``work``, when given, is a float array of the same shape
+        that holds the intermediate values (otherwise one is allocated).
+        """
+        if np.isscalar(rho):
+            if self.kind == "quadratic":
+                return self.params["coefficient"] * rho * (RHO_MAX - rho)
+            if self.kind == "triangular":
+                s, fm = self.params["sigma"], self.params["f_max"]
                 return fm * rho / s if rho <= s else fm * (RHO_MAX - rho) / (RHO_MAX - s)
-            r = np.asarray(rho)
-            return np.where(r <= s, fm * r / s, fm * (RHO_MAX - r) / (RHO_MAX - s))
-        out = np.interp(rho, self.params["rho"], self.params["flux"])
-        return float(out) if np.isscalar(rho) else out
+            return float(np.interp(rho, self.params["rho"], self.params["flux"]))
+        if out is None:
+            out = np.empty(np.shape(rho))
+        if self.kind == "quadratic":
+            np.multiply(self.params["coefficient"], rho, out=out)
+            out *= np.subtract(RHO_MAX, rho, out=work)
+        elif self.kind == "triangular":
+            s, fm = self.params["sigma"], self.params["f_max"]
+            np.multiply(fm, rho, out=out)
+            out /= s
+            congested = np.subtract(RHO_MAX, rho, out=work)
+            congested *= fm
+            congested /= RHO_MAX - s
+            np.copyto(out, congested, where=rho > s)
+        else:
+            out[...] = np.interp(rho, self.params["rho"], self.params["flux"])
+        return out
 
     __call__ = value
 

@@ -7,6 +7,16 @@ re-applied every step to the current boundary-cell averages and its fluxes are i
 as the node-side numerical fluxes. Outer ends use zero-order extrapolation (free
 inflow/outflow).
 
+A run copies the validated grids once into one flat array, with one ghost cell
+before the first arc, one between each pair of arcs and one after the last, and
+works on it in place with buffers allocated once per run. Each step evaluates f
+once per cell, forms demand and supply, takes every interface flux with one
+minimum over neighbouring cells, overwrites the two end interfaces of each arc
+with the node and outer fluxes, and updates every cell with its arc's dt / dx.
+A range check (NaN included) and a clip to [0, 1] follow. :func:`step` and
+:func:`run` share this kernel; :class:`ArcGrid` objects are built only for
+snapshots and results.
+
 Mass bookkeeping: every step appends (t, total_mass, boundary_in, boundary_out) to a
 ledger, where the boundary columns are cumulative time-integrated outer-boundary
 fluxes, so total_mass(t) - total_mass(0) - (in - out) is the conservation drift.
@@ -28,6 +38,12 @@ INCOMING = "incoming"
 OUTGOING = "outgoing"
 
 
+def _check_range(rho: np.ndarray) -> None:
+    """Raise DomainError unless every density lies in [0, 1] (NaN never does)."""
+    if not (float(rho.min()) >= -1e-12 and float(rho.max()) <= 1.0 + 1e-12):
+        raise DomainError("cell densities must lie in [0, 1]")
+
+
 @dataclass
 class ArcGrid:
     """Cell-average densities on one arc; ``dx`` is the (uniform) cell width."""
@@ -46,8 +62,7 @@ class ArcGrid:
         arr = np.array(self.rho, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InputError("an arc needs a 1-D grid with at least 2 cells")
-        if float(arr.min()) < -1e-12 or float(arr.max()) > 1.0 + 1e-12:
-            raise DomainError("cell densities must lie in [0, 1]")
+        _check_range(arr)
         self.rho = np.clip(arr, 0.0, 1.0)
 
     @property
@@ -65,9 +80,6 @@ class ArcGrid:
         if self.orientation == INCOMING:
             return (idx - self.cells) * self.dx
         return idx * self.dx
-
-    def copy(self) -> "ArcGrid":
-        return ArcGrid(self.orientation, self.dx, self.rho.copy())
 
 
 @dataclass(frozen=True)
@@ -91,18 +103,28 @@ class SimConfig:
                 f"got {self.boundary!r}")
 
 
+def _demand_supply(model: FluxModel, rho: np.ndarray, dem: np.ndarray,
+                   sup: np.ndarray) -> None:
+    """Demand and supply of every density: ``sup`` holds f(rho) on entry and the
+    supply on return, ``dem`` receives the demand. Each is f on one side of sigma
+    and f_max on the other."""
+    congested = rho > model.sigma
+    np.copyto(dem, sup)
+    np.copyto(dem, model.f_max, where=congested)
+    np.copyto(sup, model.f_max, where=np.logical_not(congested, out=congested))
+
+
 def godunov_interface_flux(model: FluxModel, rho_left, rho_right):
     """Godunov numerical flux min(sup demand(left), sup supply(right)).
 
     Accepts scalars or equal-length numpy arrays.
     """
-    if np.isscalar(rho_left) and np.isscalar(rho_right):
-        return min(model.demand(rho_left).sup, model.supply(rho_right).sup)
-    left = np.asarray(rho_left, dtype=float)
-    right = np.asarray(rho_right, dtype=float)
-    dem = np.where(left <= model.sigma, model.value(left), model.f_max)
-    sup = np.where(right <= model.sigma, model.f_max, model.value(right))
-    return np.minimum(dem, sup)
+    rho = np.array((rho_left, rho_right), dtype=float)
+    sup = model.value(rho)
+    dem = np.empty_like(sup)
+    _demand_supply(model, rho, dem, sup)
+    flux = np.minimum(dem[0], sup[1])
+    return float(flux) if np.isscalar(rho_left) and np.isscalar(rho_right) else flux
 
 
 def topology_of(grids: Sequence[ArcGrid]) -> NodeTopology:
@@ -119,6 +141,79 @@ def max_stable_dt(model: FluxModel, grids: Sequence[ArcGrid]) -> float:
     return min(g.dx for g in grids) / model.max_wave_speed()
 
 
+class _FlatArcs:
+    """Every arc of one node in one flat array, stepped in place.
+
+    Arc l occupies ``u[first[l]:first[l] + cells[l]]``; one ghost cell (always 0)
+    sits before the first arc, between each pair of arcs and after the last.
+    Interface i lies between flat cells i and i + 1, so one minimum over the
+    whole array gives every interior Godunov flux, and the two interfaces next to
+    each ghost take the node fluxes and the outer extrapolation fluxes instead.
+    """
+
+    def __init__(self, model: FluxModel, grids: Sequence[ArcGrid]):
+        self.model = model
+        self.topology = topology_of(grids)
+        n = self.topology.n
+        self.orientations = [g.orientation for g in grids]
+        self.dx = [g.dx for g in grids]
+        cells = np.array([g.cells for g in grids])
+        first = np.cumsum(cells + 1) - cells
+        last = first + cells - 1
+        size = int(cells.sum()) + len(grids) + 1
+        self.u = np.zeros(size)
+        self.arcs = [self.u[a:a + c] for a, c in zip(first, cells)]
+        for view, g in zip(self.arcs, grids):
+            view[:] = g.rho
+        _check_range(self.u)
+        np.clip(self.u, 0.0, 1.0, out=self.u)
+        self.first = first.tolist()
+        self.node_cells = np.concatenate((last[:n], first[n:]))
+        self.outer_cells = np.concatenate((first[:n], last[n:]))
+        self.node_slots = np.concatenate((last[:n], first[n:] - 1))
+        self.outer_slots = np.concatenate((first[:n] - 1, last[n:]))
+        self.dem = np.empty(size)
+        self.sup = np.empty(size)
+
+    def advance(self, solver: Callable[[RiemannState], TraceSolution],
+                dt: float) -> tuple[TraceSolution, float, float]:
+        """One Godunov step; returns the node solution and the outer in/outflow."""
+        u, n = self.u, self.topology.n
+        node = solver(RiemannState(self.topology, tuple(u[self.node_cells].tolist())))
+        sup = self.model._value(u, out=self.sup, work=self.dem)
+        outer = sup[self.outer_cells]
+        _demand_supply(self.model, u, self.dem, sup)
+        # the interface fluxes overwrite the demands, their differences the supplies
+        flux = np.minimum(self.dem[:-1], sup[1:], out=self.dem[:-1])
+        flux[self.node_slots] = node.gamma
+        flux[self.outer_slots] = outer
+        diff = np.subtract(flux[1:], flux[:-1], out=sup[:-2])
+        for view, a, dx in zip(self.arcs, self.first, self.dx):
+            change = diff[a - 1:a - 1 + view.size]
+            change *= dt / dx
+            view -= change
+        _check_range(u)
+        np.clip(u, 0.0, 1.0, out=u)
+        inflow = outflow = 0.0
+        for value in outer[:n].tolist():
+            inflow += value
+        for value in outer[n:].tolist():
+            outflow += value
+        return node, inflow, outflow
+
+    def mass(self) -> float:
+        return sum(float(v.sum()) * dx for v, dx in zip(self.arcs, self.dx))
+
+    def close(self) -> None:
+        """Free the work buffers before the final copies are made, so that a run
+        never holds both; the densities stay readable."""
+        self.dem = self.sup = None
+
+    def grids(self) -> list[ArcGrid]:
+        return [ArcGrid(o, dx, v) for o, dx, v in zip(self.orientations, self.dx,
+                                                        self.arcs)]
+
+
 @dataclass
 class StepResult:
     grids: list[ArcGrid]
@@ -128,39 +223,28 @@ class StepResult:
     outflow: float
 
 
+def _checked_dt(config: SimConfig, grids: Sequence[ArcGrid],
+                dt: float | None) -> float:
+    dt_max = max_stable_dt(config.flux, grids)
+    if dt is None:
+        return config.cfl * dt_max
+    if dt > dt_max * (1.0 + 1e-12):
+        raise StepSizeError(
+            f"dt {dt!r} violates the CFL bound {dt_max!r} "
+            f"(max wave speed {config.flux.max_wave_speed()!r})")
+    return dt
+
+
 def step(grids: Sequence[ArcGrid], config: SimConfig,
          node_solver: Callable[[RiemannState], TraceSolution] | None = None,
          dt: float | None = None) -> StepResult:
     """Advance every arc by one Godunov step, coupling them through the node solver."""
-    model = config.flux
+    arcs = _FlatArcs(config.flux, grids)
+    dt = _checked_dt(config, grids, dt)
     solver = node_solver if node_solver is not None else config.solver
-    topo = topology_of(grids)
-    dt_max = max_stable_dt(model, grids)
-    if dt is None:
-        dt = config.cfl * dt_max
-    elif dt > dt_max * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt {dt!r} violates the CFL bound {dt_max!r} "
-            f"(max wave speed {model.max_wave_speed()!r})")
-    node = solver(RiemannState(topo, tuple(g.boundary_value for g in grids)))
-
-    new: list[ArcGrid] = []
-    inflow = 0.0
-    outflow = 0.0
-    for l, g in enumerate(grids):
-        r = g.rho
-        interior = godunov_interface_flux(model, r[:-1], r[1:])
-        if g.orientation == INCOMING:
-            outer = float(model.value(r[0]))
-            fluxes = np.concatenate(([outer], interior, [node.gamma[l]]))
-            inflow += outer
-        else:
-            outer = float(model.value(r[-1]))
-            fluxes = np.concatenate(([node.gamma[l]], interior, [outer]))
-            outflow += outer
-        updated = r - (dt / g.dx) * (fluxes[1:] - fluxes[:-1])
-        new.append(ArcGrid(g.orientation, g.dx, updated))
-    return StepResult(new, dt, node, inflow, outflow)
+    node, inflow, outflow = arcs.advance(solver, dt)
+    arcs.close()
+    return StepResult(arcs.grids(), dt, node, inflow, outflow)
 
 
 def total_mass(grids: Sequence[ArcGrid]) -> float:
@@ -208,39 +292,37 @@ def make_grids(topology: NodeTopology, initial: Sequence, cells: int = 200,
 
 def run(config: SimConfig, grids: Sequence[ArcGrid],
         snapshot_times: Sequence[float] = (), steps: int | None = None) -> SimResult:
-    """Iterate :func:`step` until ``t_end`` (or a fixed step count).
+    """Iterate the Godunov step until ``t_end`` (or a fixed step count).
 
     Snapshots are recorded at t=0, at the first step crossing each requested time,
     and at the end. The ledger gains one row per step.
     """
-    topo = topology_of(grids)
-    grids = [g.copy() for g in grids]
+    arcs = _FlatArcs(config.flux, grids)
+    dt_step = _checked_dt(config, grids, None)
     t = 0.0
-    ledger = [(0.0, total_mass(grids), 0.0, 0.0)]
-    snapshots = [(0.0, [g.copy() for g in grids])]
+    ledger = [(0.0, arcs.mass(), 0.0, 0.0)]
+    snapshots = [(0.0, arcs.grids())]
     pending = sorted(set(float(s) for s in snapshot_times if s > 0.0))
     node_history: list[tuple[float, TraceSolution]] = []
     in_cum = 0.0
     out_cum = 0.0
     count = 0
     while (count < steps) if steps is not None else (t < config.t_end - 1e-12):
-        dt = config.cfl * max_stable_dt(config.flux, grids)
-        if steps is None:
-            dt = min(dt, config.t_end - t)
-        result = step(grids, config, dt=dt)
-        grids = result.grids
+        dt = dt_step if steps is not None else min(dt_step, config.t_end - t)
+        node, inflow, outflow = arcs.advance(config.solver, dt)
         t += dt
         count += 1
-        in_cum += result.inflow * dt
-        out_cum += result.outflow * dt
-        ledger.append((t, total_mass(grids), in_cum, out_cum))
-        node_history.append((t, result.node))
+        in_cum += inflow * dt
+        out_cum += outflow * dt
+        ledger.append((t, arcs.mass(), in_cum, out_cum))
+        node_history.append((t, node))
         while pending and t >= pending[0] - 1e-12:
-            snapshots.append((t, [g.copy() for g in grids]))
+            snapshots.append((t, arcs.grids()))
             pending.pop(0)
+    arcs.close()
     if snapshots[-1][0] != t:
-        snapshots.append((t, [g.copy() for g in grids]))
-    return SimResult(topo, list(grids), ledger, snapshots, node_history)
+        snapshots.append((t, arcs.grids()))
+    return SimResult(arcs.topology, arcs.grids(), ledger, snapshots, node_history)
 
 
 def write_snapshots_csv(result: SimResult, path) -> None:

@@ -285,7 +285,13 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
 
 def rs2_solve(model: FluxModel, theta: ThetaWeights,
               initial: RiemannState) -> TraceSolution:
-    """Maximal through-flow split by projecting priority targets on both sides."""
+    """Maximal through-flow split by projecting priority targets on both sides.
+
+    Its (E2) guarantee holds for n = m only. For n != m, an output whose traces
+    all lie at or below sigma has F(rho, sigma) = (n - m) f_max, and one whose
+    traces all lie at or above sigma has (m - n) f_max (see :func:`check_E2`), so
+    free data on an n < m node, or congested data on an n > m node, violates (E2).
+    """
     topo = initial.topology
     if (len(theta.incoming), len(theta.outgoing)) != (topo.n, topo.m):
         raise TopologyError(

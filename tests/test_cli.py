@@ -329,6 +329,29 @@ def test_simulate_writes_summary_and_files(tmp_path, capsys):
         assert json.load(fh) == summary
 
 
+SIM_DOC = {"state": {"n": 1, "m": 1, "rho": [0.75, 0.25]},
+           "solver": {"solver": "rs_1x1"},
+           "cells": 20, "t_end": 0.05, "cfl": 0.5, "snapshots": [0.02]}
+
+
+@pytest.mark.parametrize("change", [
+    {"cells": "abc"}, {"length": "x"}, {"initial": ["a", "b"]}, {"cfl": [1]},
+    {"snapshots": 5}, "missing output directory",
+], ids=["cells", "length", "initial", "cfl", "snapshots", "output"])
+def test_simulate_malformed_document_exits_1(tmp_path, capsys, change):
+    doc = dict(SIM_DOC)
+    prefix = str(tmp_path / "sim")
+    if change == "missing output directory":
+        prefix = str(tmp_path / "no" / "such" / "dir" / "sim")
+    else:
+        doc.update(change)
+    code = main(["simulate", "--input", write_doc(tmp_path, "d.json", doc),
+                 "--output", prefix])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 # -- reproduce ----------------------------------------------------------------------------
 
 

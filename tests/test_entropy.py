@@ -35,6 +35,7 @@ from junction_riemann import (
     trace_out_from_flux,
 )
 from junction_riemann.entropy import ENTROPY_TOL
+from junction_riemann.sampling import random_fluxes_with_sum
 from oracles import entropy_flux_grid
 
 SQ = math.sqrt
@@ -99,6 +100,29 @@ def test_check_E2_pinned(quad):
 def test_check_E2_requires_balance(quad):
     with pytest.raises(UnbalancedStateError):
         check_E2(quad, RiemannState(T22, (0.5, 0.0, 1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (2, 3)])
+def test_E2_value_is_fixed_on_one_sided_states_when_n_differs_from_m(any_model, n, m):
+    """All traces at or below sigma give F(rho, sigma) = (n - m) f_max, all at or
+    above give (m - n) f_max, for every balanced state; so for n != m one of the two
+    one-sided families violates (E2) whatever the solver, rs2 included."""
+    topo = NodeTopology(n, m)
+    fm = any_model.f_max
+    rng = default_rng(4400 + 10 * n + m)
+    for _ in range(40):
+        g_in = rng.uniform(0.0, fm, n) * min(1.0, m / n)
+        g_out = random_fluxes_with_sum(rng, m, float(g_in.sum()), fm)
+        for branch, sign in (("increasing", 1.0), ("decreasing", -1.0)):
+            rho = [any_model.invert(float(g), branch) for g in list(g_in) + g_out]
+            value = check_E2(any_model, RiemannState(topo, tuple(rho))).value_at_sigma
+            assert value == pytest.approx(sign * (n - m) * fm, abs=1e-9)
+    solver = RS2Solver(any_model, ThetaWeights.uniform(topo))
+    side = 0.5 * any_model.sigma if n < m else 0.5 * (1.0 + any_model.sigma)
+    out = solver(RiemannState(topo, (side,) * topo.total))
+    report = check_E2(any_model, out.state)
+    assert report.value_at_sigma == pytest.approx(-abs(n - m) * fm, abs=1e-9)
+    assert not report.satisfied_E2
 
 
 # -- (E1) -----------------------------------------------------------------------------

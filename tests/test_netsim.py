@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from junction_riemann import (
     default_rng,
     godunov_interface_flux,
     make_grids,
+    matrix_in_n,
     max_stable_dt,
     rs1_solve,
     run,
@@ -37,6 +39,7 @@ from junction_riemann import (
     write_mass_csv,
     write_snapshots_csv,
 )
+from oracles import godunov_reference
 
 SQ = math.sqrt
 T11 = NodeTopology(1, 1)
@@ -267,6 +270,97 @@ def test_boundary_traces_converge_rs1(quad):
     result = run(config, make_grids(T22, list(RS1_DATA), cells=200))
     got = result.boundary_state().rho
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
+
+
+# -- the flat kernel against the per-arc reference -----------------------------------------
+
+KERNEL_TOPOLOGIES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+KERNEL_STEPS = 40
+
+
+def _kernel_solvers(model, topo, rng):
+    """rs2 always, rs3 on square nodes, rs1 when a seeded matrix is certified."""
+    def weights(k):
+        w = rng.uniform(0.2, 1.0, k)
+        return tuple(w / w.sum())
+
+    theta = ThetaWeights(weights(topo.n), weights(topo.m))
+    solvers = {"rs2": RS2Solver(model, theta)}
+    if topo.n == topo.m:
+        cap = CrossingCapacity(float(rng.uniform(0.5, 2.0)) * model.f_max)
+        solvers["rs3"] = RS3Solver(model, theta, cap)
+    if topo.m > 1:
+        columns = rng.uniform(0.1, 1.0, (topo.m, topo.n))
+        matrix = DistributionMatrix.from_rows(columns / columns.sum(axis=0))
+        if matrix_in_n(matrix, topo):
+            solvers["rs1"] = RS1Solver(model, matrix)
+    return solvers
+
+
+def _kernel_grids(topo, rng):
+    """Arcs of different cell counts, each a few constant blocks plus noise."""
+    profiles = []
+    for _ in range(topo.total):
+        cells = int(rng.integers(6, 40))
+        blocks = np.repeat(rng.uniform(0.05, 0.95, 3), -(-cells // 3))[:cells]
+        profiles.append(np.clip(blocks + rng.uniform(-0.05, 0.05, cells), 0.0, 1.0))
+    return make_grids(topo, profiles, length=1.0)
+
+
+@pytest.mark.parametrize("n,m", KERNEL_TOPOLOGIES)
+def test_run_matches_per_arc_reference(any_model, n, m):
+    topo = NodeTopology(n, m)
+    rng = default_rng(700 + 10 * n + m)
+    grids = _kernel_grids(topo, rng)
+    assert len({g.cells for g in grids}) > 1
+    solvers = _kernel_solvers(any_model, topo, rng)
+    assert sorted(solvers) == sorted(["rs2"] + ["rs3"] * (n == m)
+                                     + ["rs1"] * (1 < m and n <= m))
+    for name, solver in solvers.items():
+        config = SimConfig(any_model, solver, cfl=0.9)
+        result = run(config, grids, steps=KERNEL_STEPS)
+        dt = 0.9 * min(g.dx for g in grids) / any_model.max_wave_speed()
+        rhos, gammas, ledger = godunov_reference(
+            any_model, lambda rho: solver(RiemannState(topo, rho)).gamma,
+            [g.rho for g in grids], [g.dx for g in grids], n, dt, KERNEL_STEPS)
+        for got, want in zip(result.grids, rhos):
+            assert np.max(np.abs(got.rho - want)) <= 1e-12, name
+        got_gamma = np.array([node.gamma for _, node in result.node_history])
+        assert np.max(np.abs(got_gamma - np.array(gammas))) <= 1e-12, name
+        assert np.max(np.abs(np.array(result.ledger) - np.array(ledger))) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n,m", KERNEL_TOPOLOGIES)
+def test_repeated_step_equals_run(any_model, n, m):
+    topo = NodeTopology(n, m)
+    rng = default_rng(900 + 10 * n + m)
+    grids = _kernel_grids(topo, rng)
+    for name, solver in _kernel_solvers(any_model, topo, rng).items():
+        config = SimConfig(any_model, solver, cfl=0.9)
+        result = run(config, grids, steps=KERNEL_STEPS)
+        stepped = grids
+        for _, node in result.node_history:
+            outcome = step(stepped, config)
+            stepped = outcome.grids
+            assert outcome.node.gamma == node.gamma, name
+        for got, want in zip(stepped, result.grids):
+            assert np.array_equal(got.rho, want.rho), name
+
+
+@pytest.mark.parametrize("gamma", [10.0, math.nan])
+def test_node_flux_out_of_range_raises(quad, gamma):
+    solver = RS1Solver(quad, MATRIX_2X2)
+
+    def broken(state):
+        out = solver(state)
+        return dataclasses.replace(out, gamma=(gamma,) + out.gamma[1:])
+
+    config = SimConfig(quad, broken, cfl=0.5)
+    grids = make_grids(T22, [0.3, 0.8, 0.6, 0.1], cells=20)
+    with pytest.raises(DomainError):
+        step(grids, config)
+    with pytest.raises(DomainError):
+        run(config, grids, steps=3)
 
 
 # -- emission ----------------------------------------------------------------------------
