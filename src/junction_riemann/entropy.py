@@ -44,19 +44,25 @@ CLASSIFY_EQ_TOL = 1e-10
 SIGMA_TIE = 1e-12
 
 
-def _sgn(x: float) -> int:
-    x = float(x)
-    return (x > 0.0) - (x < 0.0)
-
-
 def entropy_flux(model: FluxModel, state: RiemannState, k: float) -> float:
     """The node entropy functional F(rho, k); no balance requirement."""
     k = _check_density(k, "entropy constant")
-    fk = float(model.value(k))
+    return _entropy_at(model, state, _trace_fluxes(model, state), k)
+
+
+def _trace_fluxes(model: FluxModel, state: RiemannState) -> list[float]:
+    """f(rho_l) on every arc; the densities were checked by RiemannState."""
+    return [float(model._value(r)) for r in state.rho]
+
+
+def _entropy_at(model: FluxModel, state: RiemannState, fr: Sequence[float],
+                k: float) -> float:
+    """F(rho, k) from the trace fluxes ``fr``, for a k already in [0, 1]."""
+    fk = float(model._value(k))
     total = 0.0
     n = state.topology.n
-    for l, r in enumerate(state.rho):
-        term = _sgn(r - k) * (float(model.value(r)) - fk)
+    for l, (r, f) in enumerate(zip(state.rho, fr)):
+        term = ((r > k) - (r < k)) * (f - fk)
         total += term if l < n else -term
     return total
 
@@ -64,8 +70,13 @@ def entropy_flux(model: FluxModel, state: RiemannState, k: float) -> float:
 def entropy_candidates(model: FluxModel,
                        state: RiemannState) -> tuple[tuple[float, float], ...]:
     """(k, F(rho, k)) over the finite candidate set {0, 1, sigma} union {rho_l}."""
+    return _candidates(model, state, _trace_fluxes(model, state))
+
+
+def _candidates(model: FluxModel, state: RiemannState,
+                fr: Sequence[float]) -> tuple[tuple[float, float], ...]:
     ks = sorted({0.0, 1.0, model.sigma, *state.rho})
-    return tuple((k, entropy_flux(model, state, k)) for k in ks)
+    return tuple((k, _entropy_at(model, state, fr, k)) for k in ks)
 
 
 @dataclass(frozen=True)
@@ -90,20 +101,21 @@ class EntropyReport:
         }
 
 
-def _require_balanced(model: FluxModel, state: RiemannState) -> None:
-    gamma = [float(model.value(r)) for r in state.rho]
+def _require_balanced(model: FluxModel, state: RiemannState) -> list[float]:
+    """The trace fluxes f(rho_l), after checking that they balance."""
+    gamma = _trace_fluxes(model, state)
     gap = flux_imbalance(state.topology, gamma)
     if abs(gap) > BALANCE_TOL:
         raise UnbalancedStateError(f"trace fluxes do not balance (gap {gap!r})")
+    return gamma
 
 
 def check_E1(model: FluxModel, state: RiemannState,
              tol: float = ENTROPY_TOL) -> EntropyReport:
     """Evaluate the global entropy condition via the finite candidate set."""
-    _require_balanced(model, state)
-    candidates = entropy_candidates(model, state)
+    candidates = _candidates(model, state, _require_balanced(model, state))
     argmin_k, min_value = min(candidates, key=lambda kv: kv[1])
-    at_sigma = entropy_flux(model, state, model.sigma)
+    at_sigma = dict(candidates)[model.sigma]
     return EntropyReport(min_value=min_value, argmin_k=argmin_k,
                          candidates=candidates, satisfied_E1=min_value >= -tol,
                          value_at_sigma=at_sigma, satisfied_E2=at_sigma >= -tol)
@@ -118,8 +130,8 @@ def check_E2(model: FluxModel, state: RiemannState,
     F(rho, sigma) = (n - m) f_max, and one whose traces all lie at or above sigma
     has (m - n) f_max, whatever solver produced it; one of the two is negative.
     """
-    _require_balanced(model, state)
-    at_sigma = entropy_flux(model, state, model.sigma)
+    fr = _require_balanced(model, state)
+    at_sigma = _entropy_at(model, state, fr, model.sigma)
     return EntropyReport(min_value=None, argmin_k=None, candidates=(),
                          satisfied_E1=None, value_at_sigma=at_sigma,
                          satisfied_E2=at_sigma >= -tol)
@@ -158,7 +170,7 @@ def classify_2x2(model: FluxModel, state: RiemannState,
     topo = state.topology
     if (topo.n, topo.m) != (2, 2):
         raise TopologyError(f"classification needs a 2x2 node, got {topo.n}x{topo.m}")
-    _require_balanced(model, state)
+    fr = _require_balanced(model, state)
     s = model.sigma
     order_in = sorted((0, 1), key=lambda i: state.rho[i])
     order_out = sorted((2, 3), key=lambda j: state.rho[j])
@@ -174,7 +186,7 @@ def classify_2x2(model: FluxModel, state: RiemannState,
     def eq(a: float, b: float) -> bool:
         return abs(a - b) <= eq_tol
 
-    fv = [float(model.value(r)) for r in (r1, r2, r3, r4)]
+    fv = [fr[i] for i in perm]
     row, ok = "none", False
     if count == 0:
         if all(eq(r, s) for r in (r1, r2, r3, r4)):

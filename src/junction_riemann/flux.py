@@ -254,7 +254,7 @@ class FluxModel:
                 return RHO_MAX - (RHO_MAX - s) * rho / s
             return s * (RHO_MAX - rho) / (RHO_MAX - s)
         branch = DECREASING if rho <= self.sigma else INCREASING
-        return self.invert(self.value(rho), branch)
+        return self.invert(self._value(rho), branch)
 
     # -- demand / supply and admissible boundary traces ----------------------------
 
@@ -262,7 +262,7 @@ class FluxModel:
         """Fluxes an incoming arc with datum ``rho0`` can send into the node."""
         rho0 = _check_density(rho0)
         if rho0 <= self.sigma:
-            return FluxInterval(float(self.value(rho0)))
+            return FluxInterval(float(self._value(rho0)))
         return FluxInterval(self.f_max)
 
     def supply(self, rho0: float) -> FluxInterval:
@@ -270,7 +270,7 @@ class FluxModel:
         rho0 = _check_density(rho0)
         if rho0 <= self.sigma:
             return FluxInterval(self.f_max)
-        return FluxInterval(float(self.value(rho0)))
+        return FluxInterval(float(self._value(rho0)))
 
     def contains_trace_in(self, rho0: float, rho: float,
                           eps: float = BOUNDARY_EPS) -> bool:

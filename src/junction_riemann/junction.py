@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .errors import InadmissibleFluxError, InputError, TopologyError
-from .flux import DECREASING, INCREASING, FluxModel, _check_density
+from .flux import DECREASING, INCREASING, FluxInterval, FluxModel, _check_density
 
 #: |sum of incoming fluxes - sum of outgoing fluxes| below this counts as balanced.
 BALANCE_TOL = 1e-10
@@ -107,7 +107,7 @@ class TraceSolution:
         topo = initial.topology
         values = traces.rho if isinstance(traces, RiemannState) else tuple(traces)
         state = RiemannState(topo, values)
-        gamma = tuple(float(model.value(r)) for r in state.rho)
+        gamma = tuple(float(model._value(r)) for r in state.rho)
         balanced = abs(flux_imbalance(topo, gamma)) <= BALANCE_TOL
         ok = all(
             model.contains_trace_in(initial.rho[l], state.rho[l]) if l < topo.n
@@ -146,14 +146,8 @@ def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float,
     lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    if not model.demand(rho0).contains(gamma):
-        raise InadmissibleFluxError(
-            f"flux {gamma!r} outside demand of incoming datum {rho0!r}")
-    if abs(float(model.value(rho0)) - gamma) <= keep_tol:
-        return rho0
-    if model.f_max - gamma <= keep_tol:
-        return model.sigma
-    return model.invert(gamma, DECREASING)
+    return _trace_from_flux(model, rho0, model._value(rho0), model.demand(rho0),
+                            gamma, True, keep_tol)
 
 
 def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float,
@@ -164,14 +158,22 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float,
     branch, and ``gamma`` must lie in the supply interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    if not model.supply(rho0).contains(gamma):
-        raise InadmissibleFluxError(
-            f"flux {gamma!r} outside supply of outgoing datum {rho0!r}")
-    if abs(float(model.value(rho0)) - gamma) <= keep_tol:
+    return _trace_from_flux(model, rho0, model._value(rho0), model.supply(rho0),
+                            gamma, False, keep_tol)
+
+
+def _trace_from_flux(model: FluxModel, rho0: float, f0: float, cap: FluxInterval,
+                     gamma: float, incoming: bool, keep_tol: float = KEEP_TOL) -> float:
+    """:func:`trace_in_from_flux` (``incoming``) or :func:`trace_out_from_flux` for a
+    checked datum ``rho0`` whose flux ``f0`` and demand or supply ``cap`` are known."""
+    if not cap.contains(gamma):
+        side = "demand of incoming" if incoming else "supply of outgoing"
+        raise InadmissibleFluxError(f"flux {gamma!r} outside {side} datum {rho0!r}")
+    if abs(f0 - gamma) <= keep_tol:
         return rho0
     if model.f_max - gamma <= keep_tol:
         return model.sigma
-    return model.invert(gamma, INCREASING)
+    return model.invert(gamma, DECREASING if incoming else INCREASING)
 
 
 def is_equilibrium(solver: SolverFn, state: RiemannState, tol: float = 1e-10) -> bool:

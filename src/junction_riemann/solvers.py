@@ -16,9 +16,9 @@ Five solvers are provided, all mapping a :class:`RiemannState` to a
                         bad data.
 
 The optimization helpers (exact vertex enumeration for the flux maximization, one
-numpy path for every arc count, and capped-simplex projection by bisection on the KKT
-shift) are deliberately simple and are cross-checked against independent oracles in the
-test suite.
+numpy path for every arc count, and exact capped-simplex projection by a breakpoint
+search for the KKT shift, after Kiwiel 2008) are deliberately simple and are
+cross-checked against independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import numpy as np
 from .entropy import SIGMA_TIE
 from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
-from .flux import DECREASING, INCREASING, FluxModel
-from .junction import (NodeTopology, RiemannState, TraceSolution,
-                       trace_in_from_flux, trace_out_from_flux)
+from .flux import DECREASING, INCREASING, FluxInterval, FluxModel
+from .junction import NodeTopology, RiemannState, TraceSolution, _trace_from_flux
 
 #: flux comparisons closer than this are treated as ties in the 2x2 case split.
 FLUX_TIE = 1e-11
@@ -151,15 +150,14 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...], tol: float) -> bool:
     m, n = len(rows), len(rows[0])
     if n > m:
         return False
-    normals = [tuple(1.0 if k == i else 0.0 for k in range(n)) for i in range(n)]
-    normals += [tuple(r) for r in rows]
-    ones = np.ones((1, n))
+    normals = np.vstack([np.eye(n), np.asarray(rows, dtype=float)])
     for size in range(1, n):
-        for combo in itertools.combinations(range(n + m), size):
-            V = np.asarray([normals[i] for i in combo])
-            if np.linalg.matrix_rank(V, tol=tol) == \
-                    np.linalg.matrix_rank(np.vstack([V, ones]), tol=tol):
-                return False
+        # every size-subset at once: one stacked rank test, without and with ones
+        V = normals[np.array(list(itertools.combinations(range(n + m), size)))]
+        with_ones = np.concatenate([V, np.ones((len(V), 1, n))], axis=1)
+        if (np.linalg.matrix_rank(V, tol=tol)
+                == np.linalg.matrix_rank(with_ones, tol=tol)).any():
+            return False
     return True
 
 
@@ -224,14 +222,15 @@ def _vertex_systems(rows: tuple[tuple[float, ...], ...]):
 # -- projection onto a capped simplex --------------------------------------------------
 
 def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
-                           total: float, sum_tol: float = 1e-13,
-                           max_iter: int = 200) -> tuple[float, ...]:
+                           total: float) -> tuple[float, ...]:
     """Euclidean projection of ``target`` onto {0 <= x <= caps, sum x = total}.
 
-    Bisects the KKT shift: the projection is clip(target + lam, 0, caps) for the
-    lam making the coordinates sum to ``total``. The sum is monotone in lam, so
-    plain bisection converges; flat segments (every coordinate clamped) terminate
-    through the sum tolerance.
+    By the KKT conditions it is clip(target + lam, 0, caps) for the lam whose sum is
+    ``total``. That sum is piecewise linear and nondecreasing in lam, with kinks at
+    -target_i and caps_i - target_i; the exact breakpoint search of Kiwiel 2008
+    ("Breakpoint searching algorithms for the continuous quadratic knapsack problem")
+    walks the sorted kinks to the first whose sum reaches ``total`` and interpolates
+    once on the segment before it, taking the left end of a flat segment.
     """
     t = [float(x) for x in target]
     c = [float(x) for x in caps]
@@ -245,22 +244,37 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
         raise InadmissibleFluxError(
             f"total {total!r} outside the feasible range [0, {cap_sum!r}]")
     total = min(max(total, 0.0), cap_sum)
-    lo = -max(t) - 1.0
-    hi = max(ci - ti for ti, ci in zip(t, c)) + 1.0
-    lam = 0.0
-    for _ in range(max_iter):
-        lam = 0.5 * (lo + hi)
-        s = sum(min(max(ti + lam, 0.0), ci) for ti, ci in zip(t, c))
-        if abs(s - total) <= sum_tol:
+    pairs = list(zip(t, c))
+    lo = lo_sum = None
+    for kink in sorted({-ti for ti in t}.union([ci - ti for ti, ci in pairs])):
+        s = sum(min(max(ti + kink, 0.0), ci) for ti, ci in pairs)
+        if s >= total:
+            lam = kink if lo is None else \
+                lo + (total - lo_sum) * (kink - lo) / (s - lo_sum)
             break
-        if s < total:
-            lo = lam
-        else:
-            hi = lam
-    return tuple(min(max(ti + lam, 0.0), ci) for ti, ci in zip(t, c))
+        lo, lo_sum = kink, s
+    else:  # rounding left the last kink's sum a hair below total = cap_sum
+        lam = lo
+    return tuple(min(max(ti + lam, 0.0), ci) for ti, ci in pairs)
 
 
 # -- solvers ---------------------------------------------------------------------------
+
+def _caps(model: FluxModel, initial: RiemannState) -> list[FluxInterval]:
+    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order."""
+    n = initial.topology.n
+    return [model.demand(r) if l < n else model.supply(r)
+            for l, r in enumerate(initial.rho)]
+
+
+def _solution(model: FluxModel, initial: RiemannState, caps: Sequence[FluxInterval],
+              gamma: Sequence[float]) -> TraceSolution:
+    """The solution whose arc fluxes are ``gamma``, each inside its arc's ``caps``."""
+    n = initial.topology.n
+    traces = [_trace_from_flux(model, r, model._value(r), c, g, l < n)
+              for l, (r, c, g) in enumerate(zip(initial.rho, caps, gamma))]
+    return TraceSolution.from_traces(model, initial, traces)
+
 
 def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
               initial: RiemannState) -> TraceSolution:
@@ -272,15 +286,12 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     if not matrix_in_n(matrix, topo):
         raise InvalidMatrixError(
             "matrix outside the uniqueness class (no unique flux maximizer)")
-    caps_in = [model.demand(r).sup for r in initial.incoming]
-    caps_out = [model.supply(r).sup for r in initial.outgoing]
-    g_in = lp_maximize_box_polytope(caps_in, caps_out, matrix)
-    g_out = [sum(matrix.rows[j][i] * g_in[i] for i in range(topo.n))
-             for j in range(topo.m)]
-    traces = [trace_in_from_flux(model, r, g) for r, g in zip(initial.incoming, g_in)]
-    traces += [trace_out_from_flux(model, r, min(g, model.supply(r).sup))
-               for r, g in zip(initial.outgoing, g_out)]
-    return TraceSolution.from_traces(model, initial, traces)
+    caps = _caps(model, initial)
+    g_in = lp_maximize_box_polytope([c.sup for c in caps[:topo.n]],
+                                    [c.sup for c in caps[topo.n:]], matrix)
+    g_out = [min(sum(matrix.rows[j][i] * g_in[i] for i in range(topo.n)),
+                 caps[topo.n + j].sup) for j in range(topo.m)]
+    return _solution(model, initial, caps, [*g_in, *g_out])
 
 
 def rs2_solve(model: FluxModel, theta: ThetaWeights,
@@ -297,17 +308,15 @@ def rs2_solve(model: FluxModel, theta: ThetaWeights,
         raise TopologyError(
             f"weights are {len(theta.incoming)}+{len(theta.outgoing)}, "
             f"node is {topo.n}x{topo.m}")
-    caps_in = [model.demand(r).sup for r in initial.incoming]
-    caps_out = [model.supply(r).sup for r in initial.outgoing]
+    caps = _caps(model, initial)
+    caps_in = [c.sup for c in caps[:topo.n]]
+    caps_out = [c.sup for c in caps[topo.n:]]
     through = min(sum(caps_in), sum(caps_out))
     g_in = project_capped_simplex([through * w for w in theta.incoming],
                                   caps_in, through)
     g_out = project_capped_simplex([through * w for w in theta.outgoing],
                                    caps_out, through)
-    traces = [trace_in_from_flux(model, r, g) for r, g in zip(initial.incoming, g_in)]
-    traces += [trace_out_from_flux(model, r, g)
-               for r, g in zip(initial.outgoing, g_out)]
-    return TraceSolution.from_traces(model, initial, traces)
+    return _solution(model, initial, caps, [*g_in, *g_out])
 
 
 def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
@@ -319,15 +328,11 @@ def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
             f"per-line solver needs matching arc counts, got {topo.n}x{topo.m}")
     if len(theta.incoming) != topo.n:
         raise TopologyError("incoming weight count does not match the topology")
-    line_caps = [min(model.demand(initial.rho[i]).sup,
-                     model.supply(initial.rho[topo.n + i]).sup)
-                 for i in range(topo.n)]
+    caps = _caps(model, initial)
+    line_caps = [min(caps[i].sup, caps[topo.n + i].sup) for i in range(topo.n)]
     total = min(sum(line_caps), cap.gamma_j)
     g = project_capped_simplex([total * w for w in theta.incoming], line_caps, total)
-    traces = [trace_in_from_flux(model, initial.rho[i], g[i]) for i in range(topo.n)]
-    traces += [trace_out_from_flux(model, initial.rho[topo.n + i], g[i])
-               for i in range(topo.n)]
-    return TraceSolution.from_traces(model, initial, traces)
+    return _solution(model, initial, caps, [*g, *g])
 
 
 def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
@@ -336,10 +341,9 @@ def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     if (topo.n, topo.m) != (1, 1):
         raise TopologyError(f"single-road solver needs a 1x1 node, got "
                             f"{topo.n}x{topo.m}")
-    g = min(model.demand(initial.rho[0]).sup, model.supply(initial.rho[1]).sup)
-    traces = [trace_in_from_flux(model, initial.rho[0], g),
-              trace_out_from_flux(model, initial.rho[1], g)]
-    return TraceSolution.from_traces(model, initial, traces)
+    caps = _caps(model, initial)
+    g = min(caps[0].sup, caps[1].sup)
+    return _solution(model, initial, caps, [g, g])
 
 
 def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
@@ -355,7 +359,7 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     rho = list(initial.rho)
     s = model.sigma
     fm = model.f_max
-    f = [float(model.value(r)) for r in rho]
+    f = [model._value(r) for r in rho]
     bad = [rho[0] < s - SIGMA_TIE, rho[1] < s - SIGMA_TIE,
            rho[2] > s + SIGMA_TIE, rho[3] > s + SIGMA_TIE]
     h = sum(bad)
@@ -389,40 +393,22 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
             tr[5 - bo] = rho[bi]
 
     elif h == 3:
-        if not (bad[0] and bad[1]):
-            # the single good datum is incoming
-            g_arc = 0 if not bad[0] else 1
-            b_arc = 1 - g_arc
-            shifted = f[2] + f[3] - f[b_arc]
-            lo = min(f[2], f[3])
-            if lo - FLUX_TIE <= shifted <= fm + FLUX_TIE:
-                tr = rho.copy()
-                tr[g_arc] = model.invert(min(shifted, fm), DECREASING)
-            elif shifted > fm:
-                jhi, jlo = (2, 3) if f[2] >= f[3] else (3, 2)
-                tr[b_arc] = rho[b_arc]
-                tr[jhi] = rho[b_arc]
-                tr[g_arc] = rho[jlo]
-                tr[jlo] = rho[jlo]
-            else:
-                tr = [rho[2], rho[3], rho[2], rho[3]]
+        # g_arc: the one good datum; b_arc: the bad one beside it; p, q: the far side
+        g_arc = bad.index(False)
+        good_in = g_arc < 2
+        b_arc = (1 if good_in else 5) - g_arc
+        p, q = (2, 3) if good_in else (0, 1)
+        shifted = f[p] + f[q] - f[b_arc]
+        if min(f[p], f[q]) - FLUX_TIE <= shifted <= fm + FLUX_TIE:
+            tr = rho.copy()
+            tr[g_arc] = model.invert(min(shifted, fm),
+                                     DECREASING if good_in else INCREASING)
+        elif shifted > fm:
+            hi, lo = (p, q) if f[p] >= f[q] else (q, p)
+            tr[b_arc] = tr[hi] = rho[b_arc]
+            tr[g_arc] = tr[lo] = rho[lo]
         else:
-            # the single good datum is outgoing
-            g_arc = 2 if not bad[2] else 3
-            b_arc = 5 - g_arc
-            shifted = f[0] + f[1] - f[b_arc]
-            lo = min(f[0], f[1])
-            if lo - FLUX_TIE <= shifted <= fm + FLUX_TIE:
-                tr = rho.copy()
-                tr[g_arc] = model.invert(min(shifted, fm), INCREASING)
-            elif shifted > fm:
-                ihi, ilo = (0, 1) if f[0] >= f[1] else (1, 0)
-                tr[ihi] = rho[b_arc]
-                tr[b_arc] = rho[b_arc]
-                tr[ilo] = rho[ilo]
-                tr[g_arc] = rho[ilo]
-            else:
-                tr = [rho[0], rho[1], rho[0], rho[1]]
+            tr = [rho[p], rho[q], rho[p], rho[q]]
 
     else:
         delta = (f[0] + f[1]) - (f[2] + f[3])

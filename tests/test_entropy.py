@@ -157,6 +157,43 @@ def test_check_E1_requires_balance(quad):
         check_E1(quad, RiemannState(T22, (0.5, 0.0, 1.0, 1.0)))
 
 
+def _reference_entropy_flux(model, state, k):
+    """F(rho, k) term by term through the public flux, in the summation order of
+    the definition: sgn(rho_l - k) (f(rho_l) - f(k)), outgoing terms negated."""
+    fk = float(model.value(k))
+    total = 0.0
+    for l, r in enumerate(state.rho):
+        term = ((r > k) - (r < k)) * (float(model.value(r)) - fk)
+        total += term if l < state.topology.n else -term
+    return total
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3)])
+def test_check_E1_is_bit_identical_to_entropy_flux(any_model, n, m):
+    topo = NodeTopology(n, m)
+    solver = RS2Solver(any_model, ThetaWeights.uniform(topo))
+    rng = default_rng(5100 + 10 * n + m)
+    for _ in range(40):
+        state = solver(random_state(rng, topo)).state
+        report = check_E1(any_model, state)
+        assert [k for k, _ in report.candidates] == \
+            sorted({0.0, 1.0, any_model.sigma, *state.rho})
+        for k, value in report.candidates:
+            assert value == entropy_flux(any_model, state, k)
+            assert value == _reference_entropy_flux(any_model, state, k)
+        assert report.value_at_sigma == entropy_flux(any_model, state, any_model.sigma)
+        assert check_E2(any_model, state).value_at_sigma == report.value_at_sigma
+        assert (report.argmin_k, report.min_value) == \
+            min(report.candidates, key=lambda kv: kv[1])
+
+
+def test_unbalanced_states_raise_from_every_check(any_model):
+    state = RiemannState(T22, (0.2, 0.3, any_model.sigma, any_model.sigma))
+    for check in (check_E1, check_E2, classify_2x2):
+        with pytest.raises(UnbalancedStateError):
+            check(any_model, state)
+
+
 def test_report_serialization(quad):
     payload = check_E1(quad, RS2_TRACES).to_json()
     assert payload["satisfied_E1"] is False

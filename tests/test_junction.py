@@ -26,6 +26,7 @@ from junction_riemann import (
     check_consistency,
     check_flux_balance,
     default_rng,
+    entropy_flux,
     flux_imbalance,
     is_equilibrium,
     matrix_in_n,
@@ -132,6 +133,28 @@ def test_reconstructed_traces_stay_admissible(rho0, fraction):
     assert quad.contains_trace_in(rho0, trace_in_from_flux(quad, rho0, gamma_in))
     gamma_out = fraction * quad.supply(rho0).sup
     assert quad.contains_trace_out(rho0, trace_out_from_flux(quad, rho0, gamma_out))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, math.inf, -math.inf])
+def test_out_of_domain_densities_raise_at_every_entry_point(any_model, bad):
+    state = RiemannState(T22, (0.5, 0.5, 0.5, 0.5))
+    calls = [
+        lambda: any_model.value(bad),
+        lambda: any_model.demand(bad),
+        lambda: any_model.supply(bad),
+        lambda: any_model.tau(bad),
+        lambda: any_model.contains_trace_in(bad, 0.5),
+        lambda: any_model.contains_trace_in(0.5, bad),
+        lambda: any_model.contains_trace_out(bad, 0.5),
+        lambda: any_model.contains_trace_out(0.5, bad),
+        lambda: RiemannState(T22, (0.5, bad, 0.5, 0.5)),
+        lambda: entropy_flux(any_model, state, bad),
+        lambda: trace_in_from_flux(any_model, bad, 0.0),
+        lambda: trace_out_from_flux(any_model, bad, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 # -- trace solutions and balance ------------------------------------------------------

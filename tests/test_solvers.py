@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -40,7 +41,12 @@ from junction_riemann import (
     rs_e1_2x2_solve,
     solver_from_config,
 )
-from oracles import capped_simplex_projection_kkt, lp_best_grid_value, lp_linprog_value
+from oracles import (
+    capped_simplex_projection_kkt,
+    lp_best_grid_value,
+    lp_linprog_value,
+    ones_in_span,
+)
 
 SQ = math.sqrt
 T11 = NodeTopology(1, 1)
@@ -91,6 +97,38 @@ def test_matrix_membership_examples():
     assert not matrix_in_n(wide, NodeTopology(3, 2))
     with pytest.raises(InvalidMatrixError):
         matrix_in_n(MATRIX_2X2, NodeTopology(2, 3))
+
+
+def _in_n_by_enumeration(matrix: DistributionMatrix) -> bool:
+    """The uniqueness-class definition, subset by subset, through the span oracle."""
+    n, m = matrix.n, matrix.m
+    if n > m:
+        return False
+    vectors = [tuple(float(k == i) for k in range(n)) for i in range(n)]
+    vectors += list(matrix.rows)
+    return not any(ones_in_span([vectors[i] for i in combo])
+                   for size in range(1, n)
+                   for combo in itertools.combinations(range(n + m), size))
+
+
+def test_matrix_in_n_matches_span_oracle():
+    rng = default_rng(404)
+    wide_doubled = [[0.1, 0.1, 0.2, 0.3], [0.2, 0.2, 0.3, 0.1], [0.3, 0.3, 0.1, 0.2],
+                    [0.4, 0.4, 0.4, 0.4]]
+    matrices = [MATRIX_2X2, A_DOUBLED,
+                DistributionMatrix.from_rows([[0.4, 0.3, 0.45], [0.6, 0.7, 0.55]]),
+                DistributionMatrix.from_rows(wide_doubled)]
+    for n, m in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)):
+        for k in range(8):
+            a = rng.uniform(0.1, 1.0, (m, n))
+            if k % 4 == 0:
+                a[:, 1] = a[:, 0]  # equal columns: outside the class
+            if k % 4 == 1:
+                a[1] = a[0] * rng.uniform(0.5, 2.0)  # parallel rows
+            matrices.append(DistributionMatrix.from_rows(a / a.sum(axis=0)))
+    verdicts = [matrix_in_n(mat) for mat in matrices]
+    assert verdicts == [_in_n_by_enumeration(mat) for mat in matrices]
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- the LP engine ----------------------------------------------------------------------
@@ -221,6 +259,60 @@ def test_projection_is_feasible_and_closest(n, seed):
     other += (total - other.sum()) / n
     if np.all(other >= 0.0) and np.all(other <= caps):
         assert np.linalg.norm(target - got) <= np.linalg.norm(target - other) + 1e-9
+
+
+def _projection_cases(kind: str, rng) -> list:
+    """Seeded (target, caps, total) triples for one edge case of the projection;
+    "wide" goes up to n = 8 and "far_targets" lies outside [-1.5, 2.5]."""
+    cases = []
+    for _ in range(12):
+        n = int(rng.integers(1, 9)) if kind == "wide" else int(rng.integers(1, 6))
+        caps = rng.uniform(0.0, 1.0, n)
+        target = rng.uniform(-0.5, 1.5, n)
+        total = float(rng.uniform(0.0, caps.sum()))
+        if kind == "n1":
+            caps, target = caps[:1], target[:1]
+            total = float(rng.uniform(0.0, caps[0]))
+        elif kind == "zero_caps":
+            caps, total = np.zeros(n), 0.0
+        elif kind == "zero_total":
+            total = 0.0
+        elif kind == "full_total":
+            total = float(caps.sum())
+        elif kind == "repeated_kinks":
+            target = np.full(n, target[0])
+            caps = np.full(n, caps[0])
+            total = float(rng.uniform(0.0, caps.sum()))
+        elif kind == "far_targets":
+            target = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 50.0, n) + 0.5
+        cases.append((target, caps, total))
+    return cases
+
+
+PROJECTION_EDGE_CASES = ("n1", "zero_caps", "zero_total", "full_total", "repeated_kinks",
+                         "far_targets", "wide")
+
+
+@pytest.mark.parametrize("kind", PROJECTION_EDGE_CASES)
+def test_projection_edge_cases_match_kkt_oracle(kind):
+    rng = default_rng(2100 + PROJECTION_EDGE_CASES.index(kind))
+    for target, caps, total in _projection_cases(kind, rng):
+        got = np.asarray(project_capped_simplex(tuple(target), tuple(caps), total))
+        assert np.all(got >= 0.0) and np.all(got <= caps)
+        assert abs(got.sum() - total) <= 1e-12
+        want = capped_simplex_projection_kkt(target, caps, total)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_projection_returns_a_feasible_target_unchanged():
+    rng = default_rng(2200)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        caps = rng.uniform(0.0, 1.0, n)
+        target = caps * rng.uniform(0.0, 1.0, n)
+        got = np.asarray(project_capped_simplex(tuple(target), tuple(caps),
+                                                float(target.sum())))
+        assert np.abs(got - target).max() <= 1e-15
 
 
 # -- RS1 --------------------------------------------------------------------------------
