@@ -49,10 +49,16 @@ def eval_expr(text: str) -> float:
     if not isinstance(text, str):
         raise InputError(f"expression must be a string, got {text!r}")
     try:
-        tree = ast.parse(text, mode="eval")
+        return _eval_node(ast.parse(text, mode="eval").body, text)
     except SyntaxError as exc:
         raise InputError(f"bad expression {text!r}: {exc}") from exc
-    return _eval_node(tree.body, text)
+    except (RecursionError, MemoryError) as exc:
+        # deep nesting, such as thousands of unary minus signs, exhausts the parser
+        # or the evaluator's recursion
+        raise InputError(
+            f"expression nested too deeply ({len(text)} characters)") from exc
+    except ArithmeticError as exc:  # division by zero, integer literal too large
+        raise InputError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
 
 def _eval_node(node: ast.AST, text: str) -> float:

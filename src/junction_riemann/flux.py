@@ -10,10 +10,18 @@ critical density sigma and strictly decreasing after it. Three kinds are support
 Besides evaluation the model provides the mirror map tau (the other density with the
 same flux), demand/supply intervals, admissible-trace-set membership for both arc
 orientations, and exact inversion on either monotone branch.
+
+The scalar path uses no numpy: a float density is evaluated in plain Python, and the
+tabulated flux and its inverses use an exact one-point interpolation with
+``np.interp``'s arithmetic, so their scalar values equal ``np.interp``'s bit for bit.
+Public methods check their densities; the private ``_value``, ``_tau``,
+``_contains_in`` and ``_contains_out`` are their unchecked cores, for densities a
+caller has already checked.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -55,6 +63,22 @@ def _check_density(rho: float, what: str = "density") -> float:
     if not math.isfinite(rho) or rho < -_DOMAIN_SLACK or rho > RHO_MAX + _DOMAIN_SLACK:
         raise DomainError(f"{what} {rho!r} outside [0, {RHO_MAX}]")
     return min(max(rho, 0.0), RHO_MAX)
+
+
+def _interp(x: float, xp: tuple[float, ...], fp: tuple[float, ...]) -> float:
+    """``np.interp(x, xp, fp)`` for one float and strictly increasing ``xp``.
+
+    Same arithmetic as numpy: clamped ends, the sample value at a sample, and
+    slope * (x - xp[j]) + fp[j] in between.
+    """
+    if x < xp[0]:
+        return fp[0]
+    if x >= xp[-1]:
+        return fp[-1]
+    j = bisect.bisect_right(xp, x) - 1
+    if xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 @dataclass(frozen=True)
@@ -173,13 +197,13 @@ class FluxModel:
         that is given; ``work``, when given, is a float array of the same shape
         that holds the intermediate values (otherwise one is allocated).
         """
-        if np.isscalar(rho):
+        if rho.__class__ is float or np.isscalar(rho):
             if self.kind == "quadratic":
                 return self.params["coefficient"] * rho * (RHO_MAX - rho)
             if self.kind == "triangular":
                 s, fm = self.params["sigma"], self.params["f_max"]
                 return fm * rho / s if rho <= s else fm * (RHO_MAX - rho) / (RHO_MAX - s)
-            return float(np.interp(rho, self.params["rho"], self.params["flux"]))
+            return _interp(float(rho), self.params["rho"], self.params["flux"])
         if out is None:
             out = np.empty(np.shape(rho))
         if self.kind == "quadratic":
@@ -233,19 +257,21 @@ class FluxModel:
             rho = gamma * s / fm if branch == INCREASING \
                 else RHO_MAX - gamma * (RHO_MAX - s) / fm
         else:
-            xs = np.asarray(self.params["rho"])
-            ys = np.asarray(self.params["flux"])
+            xs, ys = self.params["rho"], self.params["flux"]
             peak = self.params["peak"]
             if branch == INCREASING:
-                rho = float(np.interp(gamma, ys[:peak + 1], xs[:peak + 1]))
+                rho = _interp(float(gamma), ys[:peak + 1], xs[:peak + 1])
             else:
-                rho = float(np.interp(gamma, ys[peak:][::-1], xs[peak:][::-1]))
+                rho = _interp(float(gamma), ys[peak:][::-1], xs[peak:][::-1])
         lo, hi = (0.0, self.sigma) if branch == INCREASING else (self.sigma, RHO_MAX)
         return min(max(rho, lo), hi)
 
     def tau(self, rho: float) -> float:
         """The density on the other branch with the same flux; tau(sigma) = sigma."""
-        rho = _check_density(rho)
+        return self._tau(_check_density(rho))
+
+    def _tau(self, rho: float) -> float:
+        """:meth:`tau` without the domain check, for a density already in [0, 1]."""
         if self.kind == "quadratic":
             return RHO_MAX - rho
         if self.kind == "triangular":
@@ -280,12 +306,15 @@ class FluxModel:
         the set is {rho0} together with ]tau(rho0), 1]; the half-open boundary point is
         treated as excluded when within ``eps``. For rho0 >= sigma the set is [sigma, 1].
         """
-        rho0 = _check_density(rho0, "datum")
-        rho = _check_density(rho, "trace")
+        return self._contains_in(_check_density(rho0, "datum"),
+                                 _check_density(rho, "trace"), eps)
+
+    def _contains_in(self, rho0: float, rho: float, eps: float = BOUNDARY_EPS) -> bool:
+        """:meth:`contains_trace_in` without the domain checks."""
         if abs(rho - rho0) <= eps:
             return True
         if rho0 <= self.sigma:
-            return rho - self.tau(rho0) > eps
+            return rho - self._tau(rho0) > eps
         return rho >= self.sigma - eps
 
     def contains_trace_out(self, rho0: float, rho: float,
@@ -295,12 +324,15 @@ class FluxModel:
         For rho0 >= sigma the set is {rho0} together with [0, tau(rho0)[; otherwise
         it is [0, sigma].
         """
-        rho0 = _check_density(rho0, "datum")
-        rho = _check_density(rho, "trace")
+        return self._contains_out(_check_density(rho0, "datum"),
+                                  _check_density(rho, "trace"), eps)
+
+    def _contains_out(self, rho0: float, rho: float, eps: float = BOUNDARY_EPS) -> bool:
+        """:meth:`contains_trace_out` without the domain checks."""
         if abs(rho - rho0) <= eps:
             return True
         if rho0 >= self.sigma:
-            return self.tau(rho0) - rho > eps
+            return self._tau(rho0) - rho > eps
         return rho <= self.sigma + eps
 
 

@@ -109,9 +109,10 @@ class TraceSolution:
         state = RiemannState(topo, values)
         gamma = tuple(float(model._value(r)) for r in state.rho)
         balanced = abs(flux_imbalance(topo, gamma)) <= BALANCE_TOL
+        # both states' densities are checked, so the unchecked membership rules apply
         ok = all(
-            model.contains_trace_in(initial.rho[l], state.rho[l]) if l < topo.n
-            else model.contains_trace_out(initial.rho[l], state.rho[l])
+            model._contains_in(initial.rho[l], state.rho[l]) if l < topo.n
+            else model._contains_out(initial.rho[l], state.rho[l])
             for l in range(topo.total))
         return TraceSolution(state, gamma, balanced, ok)
 

@@ -71,10 +71,25 @@ def test_eval_expr_values():
     "'a' + 'b'",
     "1; 2",
     "",
+    "1/0",
+    "sqrt(1/0)",
+    pytest.param("-" * 5000 + "0.5", id="5000-unary-minus"),
+    pytest.param("1+" * 2000 + "1", id="2000-additions"),
+    pytest.param("1" * 400, id="400-digit-integer"),
 ])
 def test_eval_expr_rejects(bad):
     with pytest.raises(InputError):
         eval_expr(bad)
+
+
+@pytest.mark.parametrize("expr", ["1/0", "-" * 5000 + "0.5"], ids=["1/0", "unary-minus"])
+def test_unevaluable_expression_exits_1_without_traceback(tmp_path, capsys, expr):
+    doc = {"state": {"n": 1, "m": 1, "rho": [{"expr": expr}, 0.5]},
+           "solver": {"solver": "rs_1x1"}}
+    assert main(["solve", "--input", write_doc(tmp_path, "d.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_eval_expr_rejects_non_string():

@@ -64,6 +64,70 @@ def test_array_evaluation_matches_scalar(any_model):
         assert v == pytest.approx(any_model(float(r)), abs=1e-15)
 
 
+def _random_unimodal_table(rng):
+    """Samples of a strictly unimodal flux on a random grid with a random peak."""
+    k = int(rng.integers(3, 30))
+    xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, k - 2)), [1.0]])
+    peak = int(rng.integers(1, k - 1))
+    up = np.cumsum(rng.uniform(0.01, 1.0, peak))
+    down = up[-1] - np.cumsum(rng.uniform(0.01, 1.0, k - 1 - peak))
+    down = (down - down[-1]) * up[-1] / (up[-1] - down[-1])
+    ys = np.concatenate([[0.0], up, down[:-1], [0.0]])
+    return FluxModel.tabulated(xs, ys)
+
+
+def _with_neighbours(points):
+    """Each point and the floats one ulp either side of it."""
+    return [q for p in points
+            for q in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+def test_tabulated_scalar_path_equals_np_interp():
+    # the scalar path's one-point interpolation does np.interp's arithmetic exactly
+    rng = np.random.default_rng(20260918)
+    for _ in range(40):
+        model = _random_unimodal_table(rng)
+        xs, ys = model.params["rho"], model.params["flux"]
+        peak = model.params["peak"]
+        densities = _with_neighbours(list(xs) + [0.0, 1.0, model.sigma]) \
+            + list(rng.uniform(0.0, 1.0, 20))
+        for rho in densities:
+            expected = float(np.interp(float(rho), xs, ys))
+            assert model._value(float(rho)) == expected
+            if 0.0 <= rho <= 1.0:
+                assert model.value(float(rho)) == expected
+                mirrored = DECREASING if rho <= model.sigma else INCREASING
+                assert model.tau(float(rho)) == model.invert(expected, mirrored)
+        fluxes = _with_neighbours(list(ys) + [0.0, model.f_max]) \
+            + list(rng.uniform(0.0, model.f_max, 20))
+        for gamma in fluxes:
+            g = min(max(float(gamma), 0.0), model.f_max)
+            up = float(np.interp(g, np.array(ys[:peak + 1]), np.array(xs[:peak + 1])))
+            down = float(np.interp(g, np.array(ys[peak:][::-1]),
+                                   np.array(xs[peak:][::-1])))
+            s = model.sigma
+            assert model.invert(float(gamma), INCREASING) == min(max(up, 0.0), s)
+            assert model.invert(float(gamma), DECREASING) == min(max(down, s), 1.0)
+
+
+@pytest.mark.parametrize("x", [0, 1, np.float32(0.3), np.float64(0.3), np.int64(0),
+                               np.array(0.3)], ids=repr)
+def test_scalar_value_keeps_its_type_and_value(any_model, x):
+    got = any_model.value(x)
+    if isinstance(x, np.ndarray):  # the domain clip turns a 0-d array into a float64
+        x = x[()]
+    if any_model.kind == "tabulated":
+        expected = float(np.interp(float(x), any_model.params["rho"],
+                                   any_model.params["flux"]))
+    elif any_model.kind == "quadratic":
+        expected = any_model.params["coefficient"] * x * (1.0 - x)
+    else:
+        s, fm = any_model.sigma, any_model.f_max
+        expected = fm * x / s if x <= s else fm * (1.0 - x) / (1.0 - s)
+    assert type(got) is type(expected)
+    assert got == expected
+
+
 def test_out_of_range_density_rejected(quad):
     with pytest.raises(DomainError):
         quad(-0.1)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from junction_riemann import (
+    BOUNDARY_EPS,
     CrossingCapacity,
     DistributionMatrix,
     DomainError,
@@ -155,6 +157,33 @@ def test_out_of_domain_densities_raise_at_every_entry_point(any_model, bad):
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 3), (3, 3)])
+def test_from_traces_admissibility_is_the_public_membership_rule(any_model, n, m):
+    # traces on and just off the half-open boundaries tau(datum) and sigma, the datum
+    # itself, and random densities; from_traces skips the public checks only
+    rng = np.random.default_rng(1000 * n + m)
+    topo = NodeTopology(n, m)
+    s = any_model.sigma
+    verdicts = set()
+    for _ in range(100):
+        initial = RiemannState(topo, tuple(rng.uniform(0.0, 1.0, n + m)))
+        traces = []
+        for r0 in initial.rho:
+            offset = float(rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])) \
+                * BOUNDARY_EPS
+            edge = [r0, any_model.tau(r0), s, float(rng.uniform(0.0, 1.0))][
+                int(rng.choice(4, p=[0.7, 0.1, 0.1, 0.1]))]
+            traces.append(min(max(edge + offset, 0.0), 1.0))
+        expected = all(
+            any_model.contains_trace_in(r0, r) if l < n
+            else any_model.contains_trace_out(r0, r)
+            for l, (r0, r) in enumerate(zip(initial.rho, traces)))
+        got = TraceSolution.from_traces(any_model, initial, traces).admissible
+        assert got == expected
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # -- trace solutions and balance ------------------------------------------------------
