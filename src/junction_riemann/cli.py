@@ -81,28 +81,43 @@ def _eval_node(node: ast.AST, text: str) -> float:
 
 def resolve_numbers(obj):
     """Recursively replace {"expr": "..."} objects by their evaluated values."""
+    try:
+        return _resolve(obj)
+    except RecursionError as exc:
+        raise InputError("document nested too deeply") from exc
+
+
+def _resolve(obj):
     if isinstance(obj, dict):
         if set(obj.keys()) == {"expr"}:
             return eval_expr(obj["expr"])
-        return {k: resolve_numbers(v) for k, v in obj.items()}
+        return {k: _resolve(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [resolve_numbers(v) for v in obj]
+        return [_resolve(v) for v in obj]
     return obj
 
 
 # -- document plumbing -------------------------------------------------------------------
 
-def load_document(path: str | None) -> dict:
-    if not path:
-        raise InputError("this command needs --input FILE")
+def _read_json(path: str, what: str):
+    """The JSON document in ``path`` with its {"expr"} numbers evaluated; any
+    unreadable, malformed or too deeply nested file raises InputError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read input file: {exc}") from exc
+        raise InputError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    doc = resolve_numbers(doc)
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply") from exc
+    return resolve_numbers(doc)
+
+
+def load_document(path: str | None) -> dict:
+    if not path:
+        raise InputError("this command needs --input FILE")
+    doc = _read_json(path, "input file")
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     return doc
@@ -118,13 +133,7 @@ def parse_state(doc: dict) -> RiemannState:
 def build_solver(doc: dict, args, model: FluxModel, topology):
     config = None
     if getattr(args, "solver", None):
-        try:
-            with open(args.solver) as fh:
-                config = resolve_numbers(json.load(fh))
-        except OSError as exc:
-            raise InputError(f"cannot read solver file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.solver} is not valid JSON: {exc}") from exc
+        config = _read_json(args.solver, "solver file")
     elif "solver" in doc:
         config = doc["solver"]
     if config is None:

@@ -20,11 +20,15 @@ snapshots and results.
 Mass bookkeeping: every step appends (t, total_mass, boundary_in, boundary_out) to a
 ledger, where the boundary columns are cumulative time-integrated outer-boundary
 fluxes, so total_mass(t) - total_mass(0) - (in - out) is the conservation drift.
+
+Output: :func:`write_snapshots_csv` and :func:`write_mass_csv` write the bytes of
+``csv.writer`` (``%.17g`` numbers, ``\\r\\n`` line ends) in one pass, with one
+joined string per snapshot arc or per block of ledger rows, so that the text held
+at once is never more than one of those.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +40,9 @@ from .junction import NodeTopology, RiemannState, TraceSolution
 
 INCOMING = "incoming"
 OUTGOING = "outgoing"
+
+#: ledger rows per write of :func:`write_mass_csv`, so that its memory stays bounded.
+_ROWS_PER_WRITE = 4096
 
 
 def _check_range(rho: np.ndarray) -> None:
@@ -326,23 +333,30 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
 
 
 def write_snapshots_csv(result: SimResult, path) -> None:
-    """Emit snapshots as rows (t, arc, x, rho)."""
+    """Emit snapshots as rows (t, arc, x, rho), one string per snapshot arc, with
+    each arc geometry's x column formatted once."""
+    x_columns: dict[tuple, list[str]] = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "arc", "x", "rho"])
+        fh.write("t,arc,x,rho\r\n")
         for t, grids in result.snapshots:
             for arc, g in enumerate(grids):
-                for x, r in zip(g.x_centers(), g.rho):
-                    writer.writerow([f"{t:.17g}", arc, f"{x:.17g}", f"{r:.17g}"])
+                key = (g.orientation, g.dx, g.cells)
+                xs = x_columns.get(key)
+                if xs is None:
+                    xs = x_columns[key] = [f"{x:.17g}" for x in g.x_centers().tolist()]
+                head = f"{t:.17g},{arc},"
+                fh.write("".join([f"{head}{x},{r:.17g}\r\n"
+                                  for x, r in zip(xs, g.rho.tolist())]))
 
 
 def write_mass_csv(result: SimResult, path) -> None:
     """Emit the ledger as rows (t, total_mass, boundary_in, boundary_out)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "total_mass", "boundary_in", "boundary_out"])
-        for row in result.ledger:
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write("t,total_mass,boundary_in,boundary_out\r\n")
+        ledger = result.ledger
+        for i in range(0, len(ledger), _ROWS_PER_WRITE):
+            fh.write("".join([f"{t:.17g},{m:.17g},{bi:.17g},{bo:.17g}\r\n"
+                              for t, m, bi, bo in ledger[i:i + _ROWS_PER_WRITE]]))
 
 
 def summary_json(result: SimResult) -> dict:

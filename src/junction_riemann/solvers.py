@@ -190,19 +190,24 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     if any(x < -1e-12 for x in b) or any(x < -1e-12 for x in c):
         raise InadmissibleFluxError("caps must be nonnegative")
     normals, subsets, inverses = _vertex_systems(rows)
-    rhs = np.concatenate([np.zeros(n), np.maximum(b, 0.0), np.maximum(c, 0.0)])
+    # ``0.0 if x <= 0.0 else x`` is np.maximum(x, 0.0): -0.0 becomes 0.0, NaN stays
+    rhs = np.array([0.0] * n + [0.0 if x <= 0.0 else x for x in b]
+                   + [0.0 if x <= 0.0 else x for x in c])
     vertices = np.einsum("kij,kj->ki", inverses, rhs[subsets])
     bound = rhs[:, None] + feas_tol
     step = max(1, _GEMM_BLOCK // normals.size)
-    feasible = vertices[np.concatenate([
-        (normals @ vertices[i:i + step].T <= bound).all(axis=0)
-        for i in range(0, len(vertices), step)])]
+    if step >= len(vertices):
+        mask = (normals @ vertices.T <= bound).all(axis=0)
+    else:
+        mask = np.concatenate([(normals @ vertices[i:i + step].T <= bound).all(axis=0)
+                               for i in range(0, len(vertices), step)])
+    feasible = vertices[mask]
     if not len(feasible):
         raise InadmissibleFluxError("empty feasible set (should not happen: 0 is in it)")
     sums = feasible.sum(axis=1)
-    best = int(np.argmax(sums))
+    best = sums.argmax()
     top = feasible[sums >= sums[best] - match_tol]
-    if float((top.max(axis=0) - top.min(axis=0)).max()) > match_tol:
+    if len(top) > 1 and float((top.max(axis=0) - top.min(axis=0)).max()) > match_tol:
         raise DegeneracyError(
             "flux maximizer is not unique; matrix outside the uniqueness class")
     return tuple(feasible[best].tolist())
@@ -269,19 +274,25 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
 
 # -- solvers ---------------------------------------------------------------------------
 
-def _caps(model: FluxModel, initial: RiemannState) -> list[FluxInterval]:
-    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order."""
-    n = initial.topology.n
-    return [model.demand(r) if l < n else model.supply(r)
-            for l, r in enumerate(initial.rho)]
+def _caps(model: FluxModel,
+          initial: RiemannState) -> tuple[list[FluxInterval], list[float]]:
+    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order, and
+    the flux of each datum, computed once. Equal to ``model.demand`` and
+    ``model.supply``, whose domain check the state's densities have passed."""
+    n, sigma, f_max = initial.topology.n, model.sigma, model.f_max
+    flows = [model._value(r) for r in initial.rho]
+    caps = [FluxInterval(float(f) if (r <= sigma) == (l < n) else f_max)
+            for l, (r, f) in enumerate(zip(initial.rho, flows))]
+    return caps, flows
 
 
 def _solution(model: FluxModel, initial: RiemannState, caps: Sequence[FluxInterval],
-              gamma: Sequence[float]) -> TraceSolution:
-    """The solution whose arc fluxes are ``gamma``, each inside its arc's ``caps``."""
+              flows: Sequence[float], gamma: Sequence[float]) -> TraceSolution:
+    """The solution whose arc fluxes are ``gamma``, each inside its arc's ``caps``;
+    ``flows`` are the data's fluxes."""
     n = initial.topology.n
-    traces = [_trace_from_flux(model, r, model._value(r), c, g, l < n)
-              for l, (r, c, g) in enumerate(zip(initial.rho, caps, gamma))]
+    traces = [_trace_from_flux(model, r, f, c, g, l < n)
+              for l, (r, f, c, g) in enumerate(zip(initial.rho, flows, caps, gamma))]
     return TraceSolution.from_traces(model, initial, traces)
 
 
@@ -295,12 +306,12 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     if not matrix_in_n(matrix, topo):
         raise InvalidMatrixError(
             "matrix outside the uniqueness class (no unique flux maximizer)")
-    caps = _caps(model, initial)
+    caps, flows = _caps(model, initial)
     g_in = lp_maximize_box_polytope([c.sup for c in caps[:topo.n]],
                                     [c.sup for c in caps[topo.n:]], matrix)
     g_out = [min(sum(matrix.rows[j][i] * g_in[i] for i in range(topo.n)),
                  caps[topo.n + j].sup) for j in range(topo.m)]
-    return _solution(model, initial, caps, [*g_in, *g_out])
+    return _solution(model, initial, caps, flows, [*g_in, *g_out])
 
 
 def rs2_solve(model: FluxModel, theta: ThetaWeights,
@@ -317,7 +328,7 @@ def rs2_solve(model: FluxModel, theta: ThetaWeights,
         raise TopologyError(
             f"weights are {len(theta.incoming)}+{len(theta.outgoing)}, "
             f"node is {topo.n}x{topo.m}")
-    caps = _caps(model, initial)
+    caps, flows = _caps(model, initial)
     caps_in = [c.sup for c in caps[:topo.n]]
     caps_out = [c.sup for c in caps[topo.n:]]
     through = min(sum(caps_in), sum(caps_out))
@@ -325,7 +336,7 @@ def rs2_solve(model: FluxModel, theta: ThetaWeights,
                                   caps_in, through)
     g_out = project_capped_simplex([through * w for w in theta.outgoing],
                                    caps_out, through)
-    return _solution(model, initial, caps, [*g_in, *g_out])
+    return _solution(model, initial, caps, flows, [*g_in, *g_out])
 
 
 def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
@@ -337,11 +348,11 @@ def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
             f"per-line solver needs matching arc counts, got {topo.n}x{topo.m}")
     if len(theta.incoming) != topo.n:
         raise TopologyError("incoming weight count does not match the topology")
-    caps = _caps(model, initial)
+    caps, flows = _caps(model, initial)
     line_caps = [min(caps[i].sup, caps[topo.n + i].sup) for i in range(topo.n)]
     total = min(sum(line_caps), cap.gamma_j)
     g = project_capped_simplex([total * w for w in theta.incoming], line_caps, total)
-    return _solution(model, initial, caps, [*g, *g])
+    return _solution(model, initial, caps, flows, [*g, *g])
 
 
 def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
@@ -350,9 +361,9 @@ def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     if (topo.n, topo.m) != (1, 1):
         raise TopologyError(f"single-road solver needs a 1x1 node, got "
                             f"{topo.n}x{topo.m}")
-    caps = _caps(model, initial)
+    caps, flows = _caps(model, initial)
     g = min(caps[0].sup, caps[1].sup)
-    return _solution(model, initial, caps, [g, g])
+    return _solution(model, initial, caps, flows, [g, g])
 
 
 def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:

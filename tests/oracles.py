@@ -8,6 +8,7 @@ tautology.
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -215,3 +216,60 @@ def godunov_reference(model, node, profiles, dxs, n: int, dt: float, steps: int)
         ledger.append((t, mass(), in_cum, out_cum))
         gammas.append(tuple(gamma))
     return rhos, gammas, ledger
+
+
+class NotUniqueError(Exception):
+    """Raised by :func:`lp_vertex_reference` where the package raises
+    ``DegeneracyError``."""
+
+
+def lp_vertex_reference(caps_in, caps_out, rows, feas_tol: float = 1e-9,
+                        match_tol: float = 1e-9) -> tuple[float, ...]:
+    """The flux-maximization LP by vertex enumeration, with the arithmetic that
+    ``lp_maximize_box_polytope`` must reproduce: one inverse per nonsingular
+    n-subset of the constraints, one batched ``einsum`` for the vertices, a
+    feasibility product in blocks of 2**16 multiply-adds, the first vertex of
+    largest sum, and ``NotUniqueError`` when the vertices within ``match_tol`` of
+    that sum spread by more than ``match_tol``. Nothing is cached."""
+    A = np.asarray(rows, dtype=float)
+    b = [float(x) for x in caps_in]
+    c = [float(x) for x in caps_out]
+    n = len(b)
+    normals = np.vstack([-np.eye(n), np.eye(n), A])
+    subsets = np.array(list(itertools.combinations(range(len(normals)), n)))
+    systems = normals[subsets]
+    regular = np.abs(np.linalg.det(systems)) >= 1e-12
+    subsets, inverses = subsets[regular], np.linalg.inv(systems[regular])
+    rhs = np.concatenate([np.zeros(n), np.maximum(b, 0.0), np.maximum(c, 0.0)])
+    vertices = np.einsum("kij,kj->ki", inverses, rhs[subsets])
+    bound = rhs[:, None] + feas_tol
+    step = max(1, (1 << 16) // normals.size)
+    feasible = vertices[np.concatenate([
+        (normals @ vertices[i:i + step].T <= bound).all(axis=0)
+        for i in range(0, len(vertices), step)])]
+    sums = feasible.sum(axis=1)
+    best = int(np.argmax(sums))
+    top = feasible[sums >= sums[best] - match_tol]
+    if float((top.max(axis=0) - top.min(axis=0)).max()) > match_tol:
+        raise NotUniqueError("flux maximizer is not unique")
+    return tuple(feasible[best].tolist())
+
+
+def write_snapshots_csv_reference(result, path) -> None:
+    """Snapshot rows (t, arc, x, rho) through ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "arc", "x", "rho"])
+        for t, grids in result.snapshots:
+            for arc, g in enumerate(grids):
+                for x, r in zip(g.x_centers(), g.rho):
+                    writer.writerow([f"{t:.17g}", arc, f"{x:.17g}", f"{r:.17g}"])
+
+
+def write_mass_csv_reference(result, path) -> None:
+    """Ledger rows (t, total_mass, boundary_in, boundary_out) through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "total_mass", "boundary_in", "boundary_out"])
+        for row in result.ledger:
+            writer.writerow([f"{v:.17g}" for v in row])

@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +106,14 @@ def test_resolve_numbers_recurses():
     assert got["a"][2]["b"] == 2.0
     assert got["expr"] == "kept because the object has siblings"
     assert got["c"] == 1.5
+
+
+def test_resolve_numbers_rejects_deep_nesting():
+    deep = [{"expr": "1/2"}]
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(InputError, match="nested too deeply"):
+        resolve_numbers(deep)
 
 
 def test_format_float_round_trips():
@@ -365,6 +374,38 @@ def test_simulate_malformed_document_exits_1(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def _deep_json(shape: str, depth: int) -> str:
+    if shape == "arrays":
+        return "[" * depth + "0.5" + "]" * depth
+    return '{"a": ' * depth + "0.5" + "}" * depth
+
+
+# 100 000 levels stop json.load; 0.6 of the recursion limit passes json.load and
+# stops the {"expr"} resolution, which recurses about twice per level
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("shape", ["arrays", "objects"])
+@pytest.mark.parametrize("depth", ["limit", 100_000])
+@pytest.mark.parametrize("where", ["input", "solver"])
+def test_deeply_nested_document_exits_1(tmp_path, capsys, command, shape, depth,
+                                        where):
+    depth = int(sys.getrecursionlimit() * 0.6) if depth == "limit" else depth
+    deep = _deep_json(shape, depth)
+    argv = [command, "--output", str(tmp_path / "out")]
+    if where == "input":
+        path = tmp_path / "d.json"
+        path.write_text('{"state": ' + deep + ', "solver": {"solver": "rs_1x1"}}')
+    else:
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(SIM_DOC))
+        solver = tmp_path / "s.json"
+        solver.write_text('{"solver": "rs_1x1", "extra": ' + deep + "}")
+        argv += ["--solver", str(solver)]
+    assert main(argv + ["--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # -- reproduce ----------------------------------------------------------------------------

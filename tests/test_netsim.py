@@ -22,6 +22,7 @@ from junction_riemann import (
     RS3Solver,
     RiemannState,
     SimConfig,
+    SimResult,
     StepSizeError,
     ThetaWeights,
     TopologyError,
@@ -39,7 +40,12 @@ from junction_riemann import (
     write_mass_csv,
     write_snapshots_csv,
 )
-from oracles import godunov_reference
+from junction_riemann import netsim
+from oracles import (
+    godunov_reference,
+    write_mass_csv_reference,
+    write_snapshots_csv_reference,
+)
 
 SQ = math.sqrt
 T11 = NodeTopology(1, 1)
@@ -392,6 +398,75 @@ def test_csv_writers_round_trip(quad, tmp_path):
     # 17-digit formatting makes the text exactly recover the binary value
     for text, row in zip(rows[1:], result.ledger):
         assert tuple(float(v) for v in text) == row
+
+
+def _csv_bytes_as_csv_writer_writes_them(result, tmp_path):
+    """The snapshot and mass files, after checking each against the reference
+    writer byte for byte and checking that every line ends in \\r\\n."""
+    out = []
+    for write, reference in ((write_snapshots_csv, write_snapshots_csv_reference),
+                             (write_mass_csv, write_mass_csv_reference)):
+        got = tmp_path / f"{write.__name__}.csv"
+        want = tmp_path / f"{write.__name__}_reference.csv"
+        write(result, got)
+        reference(result, want)
+        data = got.read_bytes()
+        assert data == want.read_bytes(), write.__name__
+        lines = data.split(b"\r\n")
+        assert lines[-1] == b"" and all(b"\r" not in l and b"\n" not in l
+                                        for l in lines), write.__name__
+        out.append(data)
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (2, 2), (3, 2)])
+def test_csv_writers_match_csv_writer_bytes(any_model, n, m, tmp_path):
+    topo = NodeTopology(n, m)
+    rng = default_rng(900 + 10 * n + m)
+    grids = _kernel_grids(topo, rng)
+    assert len({g.cells for g in grids}) > 1
+    solver = _kernel_solvers(any_model, topo, rng)["rs2"]
+    config = SimConfig(any_model, solver, cfl=0.9, t_end=0.05)
+    # awkward times: repeating decimals, a rounding sum, a tiny one, duplicates,
+    # one between steps and one past t_end (only the final snapshot is taken)
+    times = [1 / 3 * 0.1, 0.1 + 0.2 - 0.29, 1e-7, 0.02, 0.02, 0.0491, 0.7]
+    result = run(config, grids, snapshot_times=times)
+    assert len(result.snapshots) >= 5
+    snap, mass = _csv_bytes_as_csv_writer_writes_them(result, tmp_path)
+    assert snap.startswith(b"t,arc,x,rho\r\n0,0,")
+    assert mass.startswith(b"t,total_mass,boundary_in,boundary_out\r\n0,")
+
+
+def test_csv_writers_match_csv_writer_bytes_on_a_hand_built_result(tmp_path,
+                                                                   monkeypatch):
+    # the snapshots change grids: another dx at the same cell count, another cell
+    # count, and an arc whose orientation differs from the same index earlier;
+    # the ledger is written two rows at a time, so it ends in a partial block
+    monkeypatch.setattr(netsim, "_ROWS_PER_WRITE", 2)
+    rng = default_rng(41)
+
+    def grid(orientation, dx, cells):
+        return ArcGrid(orientation, dx, rng.uniform(0.0, 1.0, cells))
+
+    snapshots = [
+        (0.0, [grid("incoming", 0.1, 10), grid("outgoing", 0.1, 10)]),
+        (1 / 3, [grid("incoming", 0.05, 10), grid("outgoing", 0.1, 20)]),
+        (0.1 + 0.2, [grid("incoming", 0.1, 10), grid("incoming", 1 / 7, 7),
+                     grid("outgoing", 0.1, 10)]),
+        (2.0, [ArcGrid("incoming", 0.25, [-0.0, 0.0, 1.0, 5e-324]),
+               grid("outgoing", 0.1, 10)]),
+    ]
+    ledger = [(0.0, 1.0, 0.0, 0.0), (1 / 3, 1 / 3, -0.0, 5e-324),
+              (0.1 + 0.2, 1e22, 1e-300, 2.0)]
+    result = SimResult(T11, snapshots[-1][1], ledger, snapshots)
+    snap, mass = _csv_bytes_as_csv_writer_writes_them(result, tmp_path)
+    assert mass == b"t,total_mass,boundary_in,boundary_out\r\n" \
+        b"0,1,0,0\r\n" \
+        b"0.33333333333333331,0.33333333333333331,-0,4.9406564584124654e-324\r\n" \
+        b"0.30000000000000004,1e+22,1e-300,2\r\n"
+    assert snap.startswith(b"t,arc,x,rho\r\n0,0,-0.95000000000000007,")
+    assert snap.count(b"\r\n") == 1 + sum(sum(g.cells for g in grids)
+                                            for _, grids in snapshots)
 
 
 def test_run_works_with_triangular_flux(tri):

@@ -45,6 +45,7 @@ from oracles import (
     capped_simplex_projection_kkt,
     lp_best_grid_value,
     lp_linprog_value,
+    lp_vertex_reference,
     ones_in_span,
 )
 
@@ -211,6 +212,62 @@ def test_lp_wide_degenerate_matrix_detected():
     assert not matrix_in_n(matrix, NodeTopology(4, 4))
     with pytest.raises(DegeneracyError):
         lp_maximize_box_polytope((0.5,) * 4, (1.0, 1.0, 1.0, 0.3), matrix)
+
+
+def _same_floats(got, want) -> bool:
+    """Equal values and equal signs, so that -0.0 and 0.0 are told apart."""
+    return got == want and np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def test_lp_equals_vertex_reference(quad, tri, tab):
+    # seeded caps from each flux kind's demand and supply, with zero, -0.0 and
+    # slightly negative caps mixed in; a certified matrix per size plus the paper's
+    rng = default_rng(29)
+    matrices = [MATRIX_2X2] + [_certified_matrix(rng, n, m)
+                               for n, m in ((2, 3), (3, 3), (4, 5))]
+    calls = 0
+    for matrix in matrices:
+        topo = NodeTopology(matrix.n, matrix.m)
+        for model in (quad, tri, tab):
+            for k in range(40):
+                data = random_state(rng, topo)
+                caps_in = [model.demand(r).sup for r in data.incoming]
+                caps_out = [model.supply(r).sup for r in data.outgoing]
+                special = (0.0, -0.0, -1e-13)[k % 3]
+                if k % 4 == 1:
+                    caps_in[k % matrix.n] = special
+                if k % 4 == 2:
+                    caps_out[k % matrix.m] = special
+                want = lp_vertex_reference(caps_in, caps_out, matrix.rows)
+                got = lp_maximize_box_polytope(caps_in, caps_out, matrix)
+                assert _same_floats(got, want), (caps_in, caps_out, matrix.rows)
+                calls += 1
+    assert calls == 4 * 3 * 40
+
+
+def test_lp_degenerate_vertex_returns_the_point():
+    # caps_out = A caps_in: four constraints meet at the optimum caps_in, so several
+    # 2-subsets give the same vertex; it is unique, not a tie between optima
+    caps_in = (0.5, 0.25)
+    caps_out = tuple((MATRIX_2X2.as_array() @ np.array(caps_in)).tolist())
+    reference = lp_vertex_reference(caps_in, caps_out, MATRIX_2X2.rows)
+    got = lp_maximize_box_polytope(caps_in, caps_out, MATRIX_2X2)
+    assert _same_floats(got, reference)
+    assert got == pytest.approx(caps_in, abs=1e-12)
+    normals = np.vstack([-np.eye(2), np.eye(2), MATRIX_2X2.as_array()])
+    rhs = np.concatenate([np.zeros(2), caps_in, caps_out])
+    assert np.sum(np.abs(normals @ np.array(got) - rhs) <= 1e-12) == 4
+
+
+def test_lp_input_errors():
+    with pytest.raises(InvalidMatrixError):
+        lp_maximize_box_polytope((0.5, 0.5, 0.5), (0.5, 0.5), MATRIX_2X2)
+    with pytest.raises(InvalidMatrixError):
+        lp_maximize_box_polytope((0.5, 0.5), (0.5,), MATRIX_2X2)
+    with pytest.raises(InadmissibleFluxError):
+        lp_maximize_box_polytope((0.5, -1e-9), (0.5, 0.5), MATRIX_2X2)
+    with pytest.raises(InadmissibleFluxError):
+        lp_maximize_box_polytope((0.5, 0.5), (-1e-9, 0.5), MATRIX_2X2)
 
 
 # -- projection -------------------------------------------------------------------------
