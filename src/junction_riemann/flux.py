@@ -15,8 +15,9 @@ The scalar path uses no numpy: a float density is evaluated in plain Python, and
 tabulated flux and its inverses use an exact one-point interpolation with
 ``np.interp``'s arithmetic, so their scalar values equal ``np.interp``'s bit for bit.
 Public methods check their densities; the private ``_value``, ``_tau``,
-``_contains_in`` and ``_contains_out`` are their unchecked cores, for densities a
-caller has already checked.
+``_demand``, ``_supply``, ``_contains_in`` and ``_contains_out`` are their unchecked
+cores, for densities a caller has already checked (``_demand`` and ``_supply`` also
+take the datum's flux, so that a caller who has it does not evaluate f twice).
 """
 
 from __future__ import annotations
@@ -287,16 +288,22 @@ class FluxModel:
     def demand(self, rho0: float) -> FluxInterval:
         """Fluxes an incoming arc with datum ``rho0`` can send into the node."""
         rho0 = _check_density(rho0)
-        if rho0 <= self.sigma:
-            return FluxInterval(float(self._value(rho0)))
-        return FluxInterval(self.f_max)
+        return self._demand(rho0, self._value(rho0))
+
+    def _demand(self, rho0: float, f0: float) -> FluxInterval:
+        """:meth:`demand` without the domain check, for a datum whose flux ``f0`` is
+        known."""
+        return FluxInterval(float(f0) if rho0 <= self.sigma else self.f_max)
 
     def supply(self, rho0: float) -> FluxInterval:
         """Fluxes an outgoing arc with datum ``rho0`` can absorb from the node."""
         rho0 = _check_density(rho0)
-        if rho0 <= self.sigma:
-            return FluxInterval(self.f_max)
-        return FluxInterval(float(self._value(rho0)))
+        return self._supply(rho0, self._value(rho0))
+
+    def _supply(self, rho0: float, f0: float) -> FluxInterval:
+        """:meth:`supply` without the domain check, for a datum whose flux ``f0`` is
+        known."""
+        return FluxInterval(self.f_max if rho0 <= self.sigma else float(f0))
 
     def contains_trace_in(self, rho0: float, rho: float,
                           eps: float = BOUNDARY_EPS) -> bool:

@@ -147,7 +147,8 @@ def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float,
     lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    return _trace_from_flux(model, rho0, model._value(rho0), model.demand(rho0),
+    f0 = model._value(rho0)
+    return _trace_from_flux(model, rho0, f0, model._demand(rho0, f0),
                             gamma, True, keep_tol)
 
 
@@ -159,7 +160,8 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float,
     branch, and ``gamma`` must lie in the supply interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    return _trace_from_flux(model, rho0, model._value(rho0), model.supply(rho0),
+    f0 = model._value(rho0)
+    return _trace_from_flux(model, rho0, f0, model._supply(rho0, f0),
                             gamma, False, keep_tol)
 
 

@@ -22,9 +22,9 @@ ledger, where the boundary columns are cumulative time-integrated outer-boundary
 fluxes, so total_mass(t) - total_mass(0) - (in - out) is the conservation drift.
 
 Output: :func:`write_snapshots_csv` and :func:`write_mass_csv` write the bytes of
-``csv.writer`` (``%.17g`` numbers, ``\\r\\n`` line ends) in one pass, with one
-joined string per snapshot arc or per block of ledger rows, so that the text held
-at once is never more than one of those.
+``csv.writer`` (``%.17g`` numbers, ``\\r\\n`` line ends) in one pass: one joined
+string per snapshot arc, so that the text held at once is one arc of one snapshot,
+and one for the whole ledger, which the result already holds in memory.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ from .junction import NodeTopology, RiemannState, TraceSolution
 
 INCOMING = "incoming"
 OUTGOING = "outgoing"
-
-#: ledger rows per write of :func:`write_mass_csv`, so that its memory stays bounded.
-_ROWS_PER_WRITE = 4096
 
 
 def _check_range(rho: np.ndarray) -> None:
@@ -353,10 +350,8 @@ def write_mass_csv(result: SimResult, path) -> None:
     """Emit the ledger as rows (t, total_mass, boundary_in, boundary_out)."""
     with open(path, "w", newline="") as fh:
         fh.write("t,total_mass,boundary_in,boundary_out\r\n")
-        ledger = result.ledger
-        for i in range(0, len(ledger), _ROWS_PER_WRITE):
-            fh.write("".join([f"{t:.17g},{m:.17g},{bi:.17g},{bo:.17g}\r\n"
-                              for t, m, bi, bo in ledger[i:i + _ROWS_PER_WRITE]]))
+        fh.write("".join([f"{t:.17g},{m:.17g},{bi:.17g},{bo:.17g}\r\n"
+                          for t, m, bi, bo in result.ledger]))
 
 
 def summary_json(result: SimResult) -> dict:

@@ -190,17 +190,15 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     if any(x < -1e-12 for x in b) or any(x < -1e-12 for x in c):
         raise InadmissibleFluxError("caps must be nonnegative")
     normals, subsets, inverses = _vertex_systems(rows)
-    # ``0.0 if x <= 0.0 else x`` is np.maximum(x, 0.0): -0.0 becomes 0.0, NaN stays
+    # caps clamped at 0; the sign of a zero cap never reaches the vertices
     rhs = np.array([0.0] * n + [0.0 if x <= 0.0 else x for x in b]
                    + [0.0 if x <= 0.0 else x for x in c])
     vertices = np.einsum("kij,kj->ki", inverses, rhs[subsets])
     bound = rhs[:, None] + feas_tol
     step = max(1, _GEMM_BLOCK // normals.size)
-    if step >= len(vertices):
-        mask = (normals @ vertices.T <= bound).all(axis=0)
-    else:
-        mask = np.concatenate([(normals @ vertices[i:i + step].T <= bound).all(axis=0)
-                               for i in range(0, len(vertices), step)])
+    mask = np.empty(len(vertices), dtype=bool)
+    for i in range(0, len(vertices), step):
+        mask[i:i + step] = (normals @ vertices[i:i + step].T <= bound).all(axis=0)
     feasible = vertices[mask]
     if not len(feasible):
         raise InadmissibleFluxError("empty feasible set (should not happen: 0 is in it)")
@@ -277,11 +275,10 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
 def _caps(model: FluxModel,
           initial: RiemannState) -> tuple[list[FluxInterval], list[float]]:
     """Each arc's demand (incoming) or supply (outgoing) interval, in arc order, and
-    the flux of each datum, computed once. Equal to ``model.demand`` and
-    ``model.supply``, whose domain check the state's densities have passed."""
-    n, sigma, f_max = initial.topology.n, model.sigma, model.f_max
+    the flux of each datum, computed once; the state's densities are checked."""
+    n = initial.topology.n
     flows = [model._value(r) for r in initial.rho]
-    caps = [FluxInterval(float(f) if (r <= sigma) == (l < n) else f_max)
+    caps = [model._demand(r, f) if l < n else model._supply(r, f)
             for l, (r, f) in enumerate(zip(initial.rho, flows))]
     return caps, flows
 

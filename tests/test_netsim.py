@@ -40,7 +40,6 @@ from junction_riemann import (
     write_mass_csv,
     write_snapshots_csv,
 )
-from junction_riemann import netsim
 from oracles import (
     godunov_reference,
     write_mass_csv_reference,
@@ -437,12 +436,9 @@ def test_csv_writers_match_csv_writer_bytes(any_model, n, m, tmp_path):
     assert mass.startswith(b"t,total_mass,boundary_in,boundary_out\r\n0,")
 
 
-def test_csv_writers_match_csv_writer_bytes_on_a_hand_built_result(tmp_path,
-                                                                   monkeypatch):
+def test_csv_writers_match_csv_writer_bytes_on_a_hand_built_result(tmp_path):
     # the snapshots change grids: another dx at the same cell count, another cell
-    # count, and an arc whose orientation differs from the same index earlier;
-    # the ledger is written two rows at a time, so it ends in a partial block
-    monkeypatch.setattr(netsim, "_ROWS_PER_WRITE", 2)
+    # count, and an arc whose orientation differs from the same index earlier
     rng = default_rng(41)
 
     def grid(orientation, dx, cells):
