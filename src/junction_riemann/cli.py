@@ -32,6 +32,7 @@ from .netsim import SimConfig, make_grids, run, summary_json, write_mass_csv, \
 from .sampling import default_rng
 from .solvers import rs1_solve, rs2_solve, rs3_solve, rs_e1_2x2_solve, \
     solver_from_config, CrossingCapacity, DistributionMatrix, ThetaWeights
+from .tolerances import REPRODUCE_TIGHT_TOL, REPRODUCE_TOL
 
 
 def format_float(x: float) -> str:
@@ -130,6 +131,12 @@ def parse_state(doc: dict) -> RiemannState:
     return RiemannState.from_json(obj)
 
 
+def _load_node(args) -> tuple[dict, FluxModel, RiemannState]:
+    """The ``--input`` document, its flux model and its node state."""
+    doc = load_document(args.input)
+    return doc, FluxModel.from_json(doc.get("flux")), parse_state(doc)
+
+
 def build_solver(doc: dict, args, model: FluxModel, topology):
     config = None
     if getattr(args, "solver", None):
@@ -165,9 +172,7 @@ def emit(args, payload: dict, csv_header: list[str] | None = None,
 # -- subcommands -------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    doc = load_document(args.input)
-    model = FluxModel.from_json(doc.get("flux"))
-    state = parse_state(doc)
+    doc, model, state = _load_node(args)
     solver = build_solver(doc, args, model, state.topology)
     solution = solver(state)
     rows = [[l, "in" if l < state.topology.n else "out",
@@ -180,16 +185,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    doc = load_document(args.input)
-    model = FluxModel.from_json(doc.get("flux"))
-    state = parse_state(doc)
-    tol = args.tolerance if args.tolerance is not None else 1e-10
+    doc, model, state = _load_node(args)
+    options = {} if args.tolerance is None else {"tol": args.tolerance}
     if getattr(args, "solver", None) or "solver" in doc:
         solver = build_solver(doc, args, model, state.topology)
         traces = solver(state).state
     else:
         traces = state
-    report = check_E1(model, traces, tol=tol)
+    report = check_E1(model, traces, **options)
     payload = report.to_json()
     payload["rho"] = list(traces.rho)
     if "face" in doc:
@@ -212,9 +215,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    doc = load_document(args.input)
-    model = FluxModel.from_json(doc.get("flux"))
-    state = parse_state(doc)
+    doc, model, state = _load_node(args)
     options = {} if args.tolerance is None else {"eq_tol": args.tolerance}
     verdict = classify_2x2(model, state, **options)
     row = [[verdict.bad_count, verdict.row, verdict.admissible,
@@ -260,9 +261,7 @@ def parse_simulation(doc: dict, state: RiemannState) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    doc = load_document(args.input)
-    model = FluxModel.from_json(doc.get("flux"))
-    state = parse_state(doc)
+    doc, model, state = _load_node(args)
     solver = build_solver(doc, args, model, state.topology)
     sim = parse_simulation(doc, state)
     config = SimConfig(flux=model, solver=solver, cfl=sim["cfl"], t_end=sim["t_end"])
@@ -300,8 +299,8 @@ def _reproduce_rows(model: FluxModel):
     data1 = RiemannState(topo22, (3 / 4, 1 / 8, (8 + sq(34)) / 16, 1 / 10))
     sol1 = rs1_solve(model, matrix, data1)
     yield ("flux-maximization counterexample", [
-        ("fluxes", (1.0, 13 / 48, 15 / 32, 77 / 96), sol1.gamma, 1e-10),
-        ("E2 value", -19 / 48, check_E2(model, sol1.state).value_at_sigma, 1e-10),
+        ("fluxes", (1.0, 13 / 48, 15 / 32, 77 / 96), sol1.gamma, REPRODUCE_TOL),
+        ("E2 value", -19 / 48, check_E2(model, sol1.state).value_at_sigma, REPRODUCE_TOL),
     ])
 
     # through-flow solver counterexample: fixed point and F at k = 1/4
@@ -310,8 +309,8 @@ def _reproduce_rows(model: FluxModel):
                                   1 / 2 - 1 / (4 * sq(2))))
     sol2 = rs2_solve(model, theta2, data2)
     yield ("through-flow counterexample", [
-        ("fixed point", data2.rho, sol2.state.rho, 1e-10),
-        ("F(k=1/4)", -1 / 4, entropy_flux(model, sol2.state, 1 / 4), 1e-12),
+        ("fixed point", data2.rho, sol2.state.rho, REPRODUCE_TOL),
+        ("F(k=1/4)", -1 / 4, entropy_flux(model, sol2.state, 1 / 4), REPRODUCE_TIGHT_TOL),
     ])
 
     # per-line solver: both equilibria and their E2 values
@@ -320,8 +319,8 @@ def _reproduce_rows(model: FluxModel):
                                   1 / 2 - sq(59 / 3) / 10))
     sol3 = rs3_solve(model, theta3, CrossingCapacity(64 / 75), data3)
     yield ("per-line solver example 1", [
-        ("fixed point", data3.rho, sol3.state.rho, 1e-10),
-        ("E2 value", -64 / 75, check_E2(model, sol3.state).value_at_sigma, 1e-10),
+        ("fixed point", data3.rho, sol3.state.rho, REPRODUCE_TOL),
+        ("E2 value", -64 / 75, check_E2(model, sol3.state).value_at_sigma, REPRODUCE_TOL),
     ])
 
     theta4 = ThetaWeights((1 / 2, 1 / 2), (1 / 2, 1 / 2))
@@ -329,8 +328,8 @@ def _reproduce_rows(model: FluxModel):
                                   1 / 2 + sq(1 / 2) / 2, 1 / 2 - sq(1 / 3) / 2))
     sol4 = rs3_solve(model, theta4, CrossingCapacity(7 / 6), data4)
     yield ("per-line solver example 2", [
-        ("fixed point", data4.rho, sol4.state.rho, 1e-10),
-        ("E2 value", -2 / 3, check_E2(model, sol4.state).value_at_sigma, 1e-10),
+        ("fixed point", data4.rho, sol4.state.rho, REPRODUCE_TOL),
+        ("E2 value", -2 / 3, check_E2(model, sol4.state).value_at_sigma, REPRODUCE_TOL),
     ])
 
     # constructed 2x2 entropy solver: the two worked samples, exact

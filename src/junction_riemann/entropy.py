@@ -29,19 +29,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FaceMismatchError, TopologyError, UnbalancedStateError
+from .errors import (FaceMismatchError, InvalidMatrixError, TopologyError,
+                     UnbalancedStateError)
 from .flux import FluxModel, _check_density
-from .junction import (BALANCE_TOL, RiemannState, flux_imbalance,
-                       trace_in_from_flux, trace_out_from_flux)
-
-#: minima above this threshold count as satisfying the entropy inequalities.
-ENTROPY_TOL = 1e-10
-
-#: equality window for the 2x2 table comparisons.
-CLASSIFY_EQ_TOL = 1e-10
-
-#: traces within this window of sigma count as good in both directions.
-SIGMA_TIE = 1e-12
+from .junction import NodeTopology, RiemannState, flux_imbalance
+from .sampling import default_rng
+from .solvers import (DistributionMatrix, _caps, _check_matrix_shape, _solution,
+                      matrix_in_n)
+from .tolerances import (BALANCE_TOL, CLASSIFY_EQ_TOL, ENTROPY_TOL, FACE_MARGIN,
+                         FACE_SPREAD_TOL, FACE_TOL, SIGMA_TIE, SINGULAR_TOL)
 
 
 def entropy_flux(model: FluxModel, state: RiemannState, k: float) -> float:
@@ -121,8 +117,7 @@ def check_E1(model: FluxModel, state: RiemannState,
                          value_at_sigma=at_sigma, satisfied_E2=at_sigma >= -tol)
 
 
-def check_E2(model: FluxModel, state: RiemannState,
-             tol: float = ENTROPY_TOL) -> EntropyReport:
+def check_E2(model: FluxModel, state: RiemannState) -> EntropyReport:
     """Evaluate only the single-constant condition at k = sigma.
 
     The condition separates solvers only on square nodes. For n != m every
@@ -134,7 +129,7 @@ def check_E2(model: FluxModel, state: RiemannState,
     at_sigma = _entropy_at(model, state, fr, model.sigma)
     return EntropyReport(min_value=None, argmin_k=None, candidates=(),
                          satisfied_E1=None, value_at_sigma=at_sigma,
-                         satisfied_E2=at_sigma >= -tol)
+                         satisfied_E2=at_sigma >= -ENTROPY_TOL)
 
 
 # -- 2 x 2 classification -----------------------------------------------------------
@@ -231,10 +226,7 @@ def face_entropy_closed_form(model: FluxModel, traces: RiemannState,
     Arcs in the active set contribute f(sigma) - f(rho_l); the others contribute
     f(rho_l) - f(sigma). Performs no face validation (see restricted_entropy_g).
     """
-    H = frozenset(active)
-    bad = [l for l in H if not 0 <= l < traces.topology.total]
-    if bad:
-        raise FaceMismatchError(f"active-set indices {sorted(bad)} out of range")
+    H = _active_set(active, traces.topology, face=False)
     fs = model.f_max
     total = 0.0
     for l, r in enumerate(traces.rho):
@@ -243,24 +235,34 @@ def face_entropy_closed_form(model: FluxModel, traces: RiemannState,
     return total
 
 
+def _active_set(active: Iterable[int], topology: NodeTopology,
+                face: bool = True) -> frozenset[int]:
+    """``active`` as a set of arc indices, checked to lie in range and, for a face of
+    the flux polytope (``face``), to hold at most n - 1 arcs."""
+    H = frozenset(active)
+    bad = [l for l in H if not 0 <= l < topology.total]
+    if bad:
+        raise FaceMismatchError(f"active-set indices {sorted(bad)} out of range")
+    if face and len(H) > topology.n - 1:
+        raise FaceMismatchError(
+            f"active set has {len(H)} arcs; at most n-1 = {topology.n - 1} allowed")
+    return H
+
+
 def face_active_set(model: FluxModel, initial: RiemannState,
-                    gamma: Sequence[float], tol: float = 1e-9) -> frozenset[int]:
-    """Arcs whose flux sits at its demand/supply maximum (within ``tol``)."""
+                    gamma: Sequence[float]) -> frozenset[int]:
+    """Arcs whose flux sits at its demand/supply maximum (within ``FACE_TOL``)."""
     topo = initial.topology
     if len(gamma) != topo.total:
         raise TopologyError("flux vector length does not match the topology")
-    out = set()
-    for l, g in enumerate(gamma):
-        cap = (model.demand(initial.rho[l]).sup if l < topo.n
-               else model.supply(initial.rho[l]).sup)
-        if abs(g - cap) <= tol:
-            out.add(l)
-    return frozenset(out)
+    caps, _ = _caps(model, initial)
+    return frozenset(l for l, (g, cap) in enumerate(zip(gamma, caps))
+                     if abs(g - cap.sup) <= FACE_TOL)
 
 
 def restricted_entropy_g(model: FluxModel, initial: RiemannState,
-                         traces: RiemannState, active: Iterable[int],
-                         face_tol: float = 1e-9) -> RestrictedEntropy:
+                         traces: RiemannState,
+                         active: Iterable[int]) -> RestrictedEntropy:
     """Evaluate F(., sigma) on a face both directly and in closed form.
 
     ``initial`` is the Riemann datum defining the demand/supply caps, ``traces`` the
@@ -270,19 +272,14 @@ def restricted_entropy_g(model: FluxModel, initial: RiemannState,
     topo = initial.topology
     if traces.topology != topo:
         raise TopologyError("trace vector topology does not match the datum")
-    H = frozenset(active)
-    if any(not 0 <= l < topo.total for l in H):
-        raise FaceMismatchError("active-set indices out of range")
-    if len(H) > topo.n - 1:
-        raise FaceMismatchError(
-            f"active set has {len(H)} arcs; at most n-1 = {topo.n - 1} allowed")
+    H = _active_set(active, topo)
     for l in range(topo.total):
         member = (model.contains_trace_in(initial.rho[l], traces.rho[l]) if l < topo.n
                   else model.contains_trace_out(initial.rho[l], traces.rho[l]))
         if not member:
             raise FaceMismatchError(f"trace on arc {l} is not admissible for the datum")
     gamma = [float(model.value(r)) for r in traces.rho]
-    actual = face_active_set(model, initial, gamma, tol=face_tol)
+    actual = face_active_set(model, initial, gamma)
     if actual != H:
         raise FaceMismatchError(
             f"trace vector lies on face {sorted(actual)}, not {sorted(H)}")
@@ -305,64 +302,44 @@ class FaceSampleReport:
 
 def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
                                active: Iterable[int], samples: int = 100,
-                               rng: np.random.Generator | None = None,
-                               margin: float = 1e-7,
-                               spread_tol: float = 1e-9) -> FaceSampleReport:
+                               rng: np.random.Generator | None = None
+                               ) -> FaceSampleReport:
     """Sample a face of the flux polytope and test G(traces) - 2 E_free == const.
 
     ``matrix`` routes incoming flux to outgoing arcs (a DistributionMatrix or array).
     E_free is the total incoming flux over the arcs not pinned by the face. On every
     face the difference is constant; the report carries the sampled values and spread.
     """
-    from .sampling import default_rng
-    from .solvers import DistributionMatrix, matrix_in_n
-
     topo = initial.topology
     if not isinstance(matrix, DistributionMatrix):
         matrix = DistributionMatrix.from_rows(matrix)
-    if (matrix.m, matrix.n) != (topo.m, topo.n):
-        raise TopologyError("distribution matrix shape does not match the topology")
-    if not matrix_in_n(matrix, topo):
-        from .errors import InvalidMatrixError
+    _check_matrix_shape(matrix, topo, TopologyError)
+    if not matrix_in_n(matrix):
         raise InvalidMatrixError("matrix outside the uniqueness class")
-    H = frozenset(active)
-    if any(not 0 <= l < topo.total for l in H):
-        raise FaceMismatchError("active-set indices out of range")
-    if len(H) > topo.n - 1:
-        raise FaceMismatchError(
-            f"active set has {len(H)} arcs; at most n-1 = {topo.n - 1} allowed")
+    H = _active_set(active, topo)
     rng = rng if rng is not None else default_rng()
 
-    n, m = topo.n, topo.m
+    n = topo.n
     A = matrix.as_array()
-    caps_in = np.array([model.demand(r).sup for r in initial.incoming])
-    caps_out = np.array([model.supply(r).sup for r in initial.outgoing])
+    intervals, flows = _caps(model, initial)
+    caps = np.array([c.sup for c in intervals])
 
-    rows, rhs = [], []
-    for l in sorted(H):
-        if l < n:
-            e = np.zeros(n)
-            e[l] = 1.0
-            rows.append(e)
-            rhs.append(caps_in[l])
-        else:
-            rows.append(A[l - n])
-            rhs.append(caps_out[l - n])
-
-    if rows:
-        E = np.vstack(rows)
-        d = np.asarray(rhs)
+    # the face pins each arc in H at its cap: row l of [I; A] times gamma = caps[l]
+    pinned = sorted(H)
+    if pinned:
+        E = np.vstack((np.eye(n), A))[pinned]
+        d = caps[pinned]
         z0, *_ = np.linalg.lstsq(E, d, rcond=None)
-        if np.linalg.norm(E @ z0 - d) > 1e-9:
+        if np.linalg.norm(E @ z0 - d) > FACE_TOL:
             return FaceSampleReport(H, False, (), (), 0.0, True)
         _, sv, vt = np.linalg.svd(E)
-        rank = int(np.sum(sv > 1e-12))
+        rank = int(np.sum(sv > SINGULAR_TOL))
         null = vt[rank:].T
     else:
         z0 = np.zeros(n)
         null = np.eye(n)
 
-    span = 2.0 * max(1.0, float(caps_in.max()))
+    span = 2.0 * max(1.0, float(caps[:n].max()))
     found: list[np.ndarray] = []
     max_tries = max(2000, samples * 500)
     for _ in range(max_tries):
@@ -372,21 +349,9 @@ def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
             z0 + null @ rng.uniform(-span, span, null.shape[1])
         if np.any(g < 0.0):
             continue
-        gout = A @ g
-        ok = True
-        for i in range(n):
-            lim = caps_in[i]
-            if i in H:
-                ok &= abs(g[i] - lim) <= 1e-9
-            else:
-                ok &= g[i] <= lim - margin * max(1.0, lim)
-        for j in range(m):
-            lim = caps_out[j]
-            if n + j in H:
-                ok &= abs(gout[j] - lim) <= 1e-9
-            else:
-                ok &= gout[j] <= lim - margin * max(1.0, lim)
-        if ok:
+        # pinned arcs at their caps, free arcs clearly below them
+        if all(abs(f - c) <= FACE_TOL if l in H else f <= c - FACE_MARGIN * max(1.0, c)
+               for l, (f, c) in enumerate(zip(np.concatenate((g, A @ g)), caps))):
             found.append(g)
             if null.shape[1] == 0:
                 break
@@ -396,16 +361,12 @@ def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
 
     gammas, values = [], []
     for g in found:
-        gout = A @ g
-        traces = [trace_in_from_flux(model, initial.rho[i], float(g[i]))
-                  for i in range(n)]
-        traces += [trace_out_from_flux(model, initial.rho[n + j], float(gout[j]))
-                   for j in range(m)]
-        tr_state = RiemannState(topo, tuple(traces))
-        g_val = entropy_flux(model, tr_state, model.sigma)
-        e_free = sum(float(g[i]) for i in range(n) if i not in H)
-        gammas.append(tuple(float(x) for x in g) + tuple(float(x) for x in gout))
+        gamma = (*g.tolist(), *(A @ g).tolist())
+        traces = _solution(model, initial, intervals, flows, gamma).state
+        g_val = entropy_flux(model, traces, model.sigma)
+        e_free = sum(gamma[i] for i in range(n) if i not in H)
+        gammas.append(gamma)
         values.append(g_val - 2.0 * e_free)
     spread = max(values) - min(values)
     return FaceSampleReport(H, True, tuple(gammas), tuple(values), spread,
-                            spread <= spread_tol)
+                            spread <= FACE_SPREAD_TOL)

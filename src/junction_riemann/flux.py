@@ -18,6 +18,8 @@ Public methods check their densities; the private ``_value``, ``_tau``,
 ``_demand``, ``_supply``, ``_contains_in`` and ``_contains_out`` are their unchecked
 cores, for densities a caller has already checked (``_demand`` and ``_supply`` also
 take the datum's flux, so that a caller who has it does not evaluate f twice).
+Densities within ``DENSITY_SLACK`` of [0, 1] and fluxes within ``FLUX_SLACK`` of their
+range are clamped; these and ``BOUNDARY_EPS`` live in :mod:`junction_riemann.tolerances`.
 """
 
 from __future__ import annotations
@@ -31,18 +33,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, InfeasibleFluxError, InputError
+from .tolerances import BOUNDARY_EPS, DENSITY_SLACK, FLUX_SLACK
 
 #: jam density; densities live in [0, RHO_MAX].
 RHO_MAX = 1.0
 
-#: slack for membership of half-open trace-set boundaries.
-BOUNDARY_EPS = 1e-12
-
 INCREASING = "increasing"
 DECREASING = "decreasing"
-
-_DOMAIN_SLACK = 1e-12
-_FLUX_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,8 @@ class FluxInterval:
     upper: float
     lower: float = 0.0
 
-    def contains(self, gamma: float, tol: float = 1e-9) -> bool:
-        return self.lower - tol <= gamma <= self.upper + tol
+    def contains(self, gamma: float) -> bool:
+        return self.lower - FLUX_SLACK <= gamma <= self.upper + FLUX_SLACK
 
     @property
     def sup(self) -> float:
@@ -61,9 +58,17 @@ class FluxInterval:
 
 
 def _check_density(rho: float, what: str = "density") -> float:
-    if not math.isfinite(rho) or rho < -_DOMAIN_SLACK or rho > RHO_MAX + _DOMAIN_SLACK:
+    if not math.isfinite(rho) or rho < -DENSITY_SLACK or rho > RHO_MAX + DENSITY_SLACK:
         raise DomainError(f"{what} {rho!r} outside [0, {RHO_MAX}]")
     return min(max(rho, 0.0), RHO_MAX)
+
+
+def _check_densities(rho: np.ndarray) -> None:
+    """Raise DomainError unless every entry lies in [0, 1] within the density slack;
+    NaN never does (it propagates through min and max), an empty array always does."""
+    if rho.size and not (float(rho.min()) >= -DENSITY_SLACK
+                         and float(rho.max()) <= RHO_MAX + DENSITY_SLACK):
+        raise DomainError(f"densities outside [0, {RHO_MAX}]")
 
 
 def _interp(x: float, xp: tuple[float, ...], fp: tuple[float, ...]) -> float:
@@ -185,10 +190,7 @@ class FluxModel:
         if np.isscalar(rho):
             return self._value(_check_density(rho))
         arr = np.asarray(rho, dtype=float)
-        if arr.size and (not np.all(np.isfinite(arr))
-                         or arr.min() < -_DOMAIN_SLACK
-                         or arr.max() > RHO_MAX + _DOMAIN_SLACK):
-            raise DomainError(f"densities outside [0, {RHO_MAX}]")
+        _check_densities(arr)
         return self._value(np.clip(arr, 0.0, RHO_MAX))
 
     def _value(self, rho, out=None, work=None):
@@ -245,8 +247,8 @@ class FluxModel:
         """
         if branch not in (INCREASING, DECREASING):
             raise InputError(f"unknown branch {branch!r}")
-        if not math.isfinite(gamma) or gamma < -_FLUX_SLACK \
-                or gamma > self.f_max + _FLUX_SLACK:
+        if not math.isfinite(gamma) or gamma < -FLUX_SLACK \
+                or gamma > self.f_max + FLUX_SLACK:
             raise InfeasibleFluxError(
                 f"flux {gamma!r} outside [0, f_max={self.f_max!r}]")
         gamma = min(max(gamma, 0.0), self.f_max)
@@ -305,42 +307,41 @@ class FluxModel:
         known."""
         return FluxInterval(self.f_max if rho0 <= self.sigma else float(f0))
 
-    def contains_trace_in(self, rho0: float, rho: float,
-                          eps: float = BOUNDARY_EPS) -> bool:
+    def contains_trace_in(self, rho0: float, rho: float) -> bool:
         """Whether ``rho`` is an admissible node-side trace for an incoming arc.
 
         Admissible traces generate waves of non-positive speed only. For rho0 <= sigma
         the set is {rho0} together with ]tau(rho0), 1]; the half-open boundary point is
-        treated as excluded when within ``eps``. For rho0 >= sigma the set is [sigma, 1].
+        treated as excluded when within ``BOUNDARY_EPS``. For rho0 >= sigma the set is
+        [sigma, 1].
         """
         return self._contains_in(_check_density(rho0, "datum"),
-                                 _check_density(rho, "trace"), eps)
+                                 _check_density(rho, "trace"))
 
-    def _contains_in(self, rho0: float, rho: float, eps: float = BOUNDARY_EPS) -> bool:
+    def _contains_in(self, rho0: float, rho: float) -> bool:
         """:meth:`contains_trace_in` without the domain checks."""
-        if abs(rho - rho0) <= eps:
+        if abs(rho - rho0) <= BOUNDARY_EPS:
             return True
         if rho0 <= self.sigma:
-            return rho - self._tau(rho0) > eps
-        return rho >= self.sigma - eps
+            return rho - self._tau(rho0) > BOUNDARY_EPS
+        return rho >= self.sigma - BOUNDARY_EPS
 
-    def contains_trace_out(self, rho0: float, rho: float,
-                           eps: float = BOUNDARY_EPS) -> bool:
+    def contains_trace_out(self, rho0: float, rho: float) -> bool:
         """Mirror of :meth:`contains_trace_in` for outgoing arcs.
 
         For rho0 >= sigma the set is {rho0} together with [0, tau(rho0)[; otherwise
         it is [0, sigma].
         """
         return self._contains_out(_check_density(rho0, "datum"),
-                                  _check_density(rho, "trace"), eps)
+                                  _check_density(rho, "trace"))
 
-    def _contains_out(self, rho0: float, rho: float, eps: float = BOUNDARY_EPS) -> bool:
+    def _contains_out(self, rho0: float, rho: float) -> bool:
         """:meth:`contains_trace_out` without the domain checks."""
-        if abs(rho - rho0) <= eps:
+        if abs(rho - rho0) <= BOUNDARY_EPS:
             return True
         if rho0 >= self.sigma:
-            return self._tau(rho0) - rho > eps
-        return rho <= self.sigma + eps
+            return self._tau(rho0) - rho > BOUNDARY_EPS
+        return rho <= self.sigma + BOUNDARY_EPS
 
 
 #: the default flux 4*rho*(1-rho), normalized so the peak value is 1 at sigma = 1/2.

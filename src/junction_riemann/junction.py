@@ -9,16 +9,11 @@ traces, their fluxes, and the balance/admissibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from .errors import InadmissibleFluxError, InputError, TopologyError
 from .flux import DECREASING, INCREASING, FluxInterval, FluxModel, _check_density
-
-#: |sum of incoming fluxes - sum of outgoing fluxes| below this counts as balanced.
-BALANCE_TOL = 1e-10
-
-#: a prescribed flux this close to f(rho0) keeps the initial datum as its own trace.
-KEEP_TOL = 1e-11
+from .tolerances import BALANCE_TOL, FIXED_POINT_TOL, KEEP_TOL
 
 
 @dataclass(frozen=True)
@@ -123,37 +118,29 @@ class TraceSolution:
         return out
 
 
-class RiemannSolverHandle(Protocol):
-    """Anything that maps a node state to a trace solution."""
-
-    def __call__(self, state: RiemannState) -> TraceSolution: ...
-
-
+#: anything that maps a node state to a trace solution, such as a solver handle.
 SolverFn = Callable[[RiemannState], TraceSolution]
 
 
-def check_flux_balance(solution: TraceSolution, tol: float = BALANCE_TOL) -> bool:
-    """Whether incoming and outgoing total flux agree within ``tol``."""
-    return abs(flux_imbalance(solution.state.topology, solution.gamma)) <= tol
+def check_flux_balance(solution: TraceSolution) -> bool:
+    """Whether incoming and outgoing total flux agree within ``BALANCE_TOL``."""
+    return abs(flux_imbalance(solution.state.topology, solution.gamma)) <= BALANCE_TOL
 
 
-def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float,
-                       keep_tol: float = KEEP_TOL) -> float:
+def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     """Node-side trace of an incoming arc passing flux ``gamma``.
 
     Keeps the initial datum when it already carries the flux, and snaps a flux within
-    ``keep_tol`` of f_max to sigma (inverting at the peak is ill-conditioned); otherwise
+    ``KEEP_TOL`` of f_max to sigma (inverting at the peak is ill-conditioned); otherwise
     the trace is the unique admissible density on the decreasing branch. ``gamma`` must
     lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
     f0 = model._value(rho0)
-    return _trace_from_flux(model, rho0, f0, model._demand(rho0, f0),
-                            gamma, True, keep_tol)
+    return _trace_from_flux(model, rho0, f0, model._demand(rho0, f0), gamma, True)
 
 
-def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float,
-                        keep_tol: float = KEEP_TOL) -> float:
+def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     """Node-side trace of an outgoing arc receiving flux ``gamma``.
 
     Mirror of :func:`trace_in_from_flux`: off-datum traces live on the increasing
@@ -161,33 +148,32 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float,
     """
     rho0 = _check_density(rho0, "datum")
     f0 = model._value(rho0)
-    return _trace_from_flux(model, rho0, f0, model._supply(rho0, f0),
-                            gamma, False, keep_tol)
+    return _trace_from_flux(model, rho0, f0, model._supply(rho0, f0), gamma, False)
 
 
 def _trace_from_flux(model: FluxModel, rho0: float, f0: float, cap: FluxInterval,
-                     gamma: float, incoming: bool, keep_tol: float = KEEP_TOL) -> float:
+                     gamma: float, incoming: bool) -> float:
     """:func:`trace_in_from_flux` (``incoming``) or :func:`trace_out_from_flux` for a
     checked datum ``rho0`` whose flux ``f0`` and demand or supply ``cap`` are known."""
     if not cap.contains(gamma):
         side = "demand of incoming" if incoming else "supply of outgoing"
         raise InadmissibleFluxError(f"flux {gamma!r} outside {side} datum {rho0!r}")
-    if abs(f0 - gamma) <= keep_tol:
+    if abs(f0 - gamma) <= KEEP_TOL:
         return rho0
-    if model.f_max - gamma <= keep_tol:
+    if model.f_max - gamma <= KEEP_TOL:
         return model.sigma
     return model.invert(gamma, DECREASING if incoming else INCREASING)
 
 
-def is_equilibrium(solver: SolverFn, state: RiemannState, tol: float = 1e-10) -> bool:
+def is_equilibrium(solver: SolverFn, state: RiemannState) -> bool:
     """Whether ``state`` is a fixed point of the solver (traces reproduce the data)."""
     out = solver(state)
-    return max(abs(a - b) for a, b in zip(out.state.rho, state.rho)) <= tol
+    return max(abs(a - b) for a, b in zip(out.state.rho, state.rho)) <= FIXED_POINT_TOL
 
 
-def check_consistency(solver: SolverFn, state: RiemannState,
-                      tol: float = 1e-10) -> bool:
+def check_consistency(solver: SolverFn, state: RiemannState) -> bool:
     """Whether re-solving from the solver's own output reproduces that output."""
     once = solver(state)
     twice = solver(once.state)
-    return max(abs(a - b) for a, b in zip(twice.state.rho, once.state.rho)) <= tol
+    return max(abs(a - b)
+               for a, b in zip(twice.state.rho, once.state.rho)) <= FIXED_POINT_TOL

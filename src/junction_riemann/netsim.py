@@ -30,22 +30,17 @@ and one for the whole ledger, which the result already holds in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, StepSizeError, TopologyError
-from .flux import FluxModel
-from .junction import NodeTopology, RiemannState, TraceSolution
+from .errors import InputError, StepSizeError, TopologyError
+from .flux import FluxModel, _check_densities
+from .junction import NodeTopology, RiemannState, SolverFn, TraceSolution
+from .tolerances import CFL_SLACK, TIME_TOL
 
 INCOMING = "incoming"
 OUTGOING = "outgoing"
-
-
-def _check_range(rho: np.ndarray) -> None:
-    """Raise DomainError unless every density lies in [0, 1] (NaN never does)."""
-    if not (float(rho.min()) >= -1e-12 and float(rho.max()) <= 1.0 + 1e-12):
-        raise DomainError("cell densities must lie in [0, 1]")
 
 
 @dataclass
@@ -66,7 +61,7 @@ class ArcGrid:
         arr = np.array(self.rho, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InputError("an arc needs a 1-D grid with at least 2 cells")
-        _check_range(arr)
+        _check_densities(arr)
         self.rho = np.clip(arr, 0.0, 1.0)
 
     @property
@@ -91,7 +86,7 @@ class SimConfig:
     """Run parameters: flux model, node solver handle, CFL number, end time."""
 
     flux: FluxModel
-    solver: Callable[[RiemannState], TraceSolution]
+    solver: SolverFn
     cfl: float = 0.5
     t_end: float = 1.0
     boundary: str = "extrapolate"
@@ -169,7 +164,7 @@ class _FlatArcs:
         self.arcs = [self.u[a:a + c] for a, c in zip(first, cells)]
         for view, g in zip(self.arcs, grids):
             view[:] = g.rho
-        _check_range(self.u)
+        _check_densities(self.u)
         np.clip(self.u, 0.0, 1.0, out=self.u)
         self.first = first.tolist()
         self.node_cells = np.concatenate((last[:n], first[n:]))
@@ -179,8 +174,7 @@ class _FlatArcs:
         self.dem = np.empty(size)
         self.sup = np.empty(size)
 
-    def advance(self, solver: Callable[[RiemannState], TraceSolution],
-                dt: float) -> tuple[TraceSolution, float, float]:
+    def advance(self, solver: SolverFn, dt: float) -> tuple[TraceSolution, float, float]:
         """One Godunov step; returns the node solution and the outer in/outflow."""
         u, n = self.u, self.topology.n
         node = solver(RiemannState(self.topology, tuple(u[self.node_cells].tolist())))
@@ -196,7 +190,7 @@ class _FlatArcs:
             change = diff[a - 1:a - 1 + view.size]
             change *= dt / dx
             view -= change
-        _check_range(u)
+        _check_densities(u)
         np.clip(u, 0.0, 1.0, out=u)
         inflow = outflow = 0.0
         for value in outer[:n].tolist():
@@ -232,7 +226,7 @@ def _checked_dt(config: SimConfig, grids: Sequence[ArcGrid],
     dt_max = max_stable_dt(config.flux, grids)
     if dt is None:
         return config.cfl * dt_max
-    if dt > dt_max * (1.0 + 1e-12):
+    if dt > dt_max * (1.0 + CFL_SLACK):
         raise StepSizeError(
             f"dt {dt!r} violates the CFL bound {dt_max!r} "
             f"(max wave speed {config.flux.max_wave_speed()!r})")
@@ -240,7 +234,7 @@ def _checked_dt(config: SimConfig, grids: Sequence[ArcGrid],
 
 
 def step(grids: Sequence[ArcGrid], config: SimConfig,
-         node_solver: Callable[[RiemannState], TraceSolution] | None = None,
+         node_solver: SolverFn | None = None,
          dt: float | None = None) -> StepResult:
     """Advance every arc by one Godunov step, coupling them through the node solver."""
     arcs = _FlatArcs(config.flux, grids)
@@ -286,10 +280,11 @@ def make_grids(topology: NodeTopology, initial: Sequence, cells: int = 200,
     grids = []
     for l, profile in enumerate(initial):
         orientation = INCOMING if l < topology.n else OUTGOING
-        if np.isscalar(profile):
-            rho = np.full(cells, float(profile))
-        else:
-            rho = np.asarray(profile, dtype=float)
+        try:
+            rho = np.full(cells, float(profile)) if np.isscalar(profile) \
+                else np.asarray(profile, dtype=float)
+        except (ValueError, MemoryError) as exc:  # more cells than numpy or memory holds
+            raise InputError(f"cannot build the grid of arc {l}: {exc}") from exc
         grids.append(ArcGrid(orientation, length / rho.size, rho))
     return grids
 
@@ -311,7 +306,7 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
     in_cum = 0.0
     out_cum = 0.0
     count = 0
-    while (count < steps) if steps is not None else (t < config.t_end - 1e-12):
+    while (count < steps) if steps is not None else (t < config.t_end - TIME_TOL):
         dt = dt_step if steps is not None else min(dt_step, config.t_end - t)
         node, inflow, outflow = arcs.advance(config.solver, dt)
         t += dt
@@ -320,7 +315,7 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
         out_cum += outflow * dt
         ledger.append((t, arcs.mass(), in_cum, out_cum))
         node_history.append((t, node))
-        while pending and t >= pending[0] - 1e-12:
+        while pending and t >= pending[0] - TIME_TOL:
             snapshots.append((t, arcs.grids()))
             pending.pop(0)
     arcs.close()

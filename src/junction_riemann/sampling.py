@@ -9,6 +9,7 @@ import numpy as np
 from .errors import InputError
 from .flux import DECREASING, INCREASING, FluxModel
 from .junction import NodeTopology, RiemannState
+from .tolerances import CAP_SLACK
 
 #: environment variable consulted when no explicit seed is given.
 ENV_SEED = "JUNCTION_RIEMANN_SEED"
@@ -34,7 +35,7 @@ def random_state(rng: np.random.Generator, topology: NodeTopology) -> RiemannSta
 def random_fluxes_with_sum(rng: np.random.Generator, count: int, total: float,
                            cap: float) -> list[float]:
     """``count`` fluxes in [0, cap] with the prescribed sum (sequential sampling)."""
-    if not 0.0 <= total <= count * cap + 1e-12:
+    if not 0.0 <= total <= count * cap + CAP_SLACK:
         raise InputError("requested flux total is infeasible for the given cap")
     out: list[float] = []
     remaining = total

@@ -31,14 +31,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .entropy import SIGMA_TIE
 from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
 from .flux import DECREASING, INCREASING, FluxInterval, FluxModel
 from .junction import NodeTopology, RiemannState, TraceSolution, _trace_from_flux
-
-#: flux comparisons closer than this are treated as ties in the 2x2 case split.
-FLUX_TIE = 1e-11
+from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_MATCH_TOL, RANK_TOL,
+                         SIGMA_TIE, SINGULAR_TOL, SUM_TO_ONE_SLACK)
 
 #: multiply-adds per feasibility product in the LP, below OpenBLAS's multithreading
 #: threshold. Handed to the thread pool, a 6x6 call took 16 ms instead of 1 ms in about
@@ -67,7 +65,7 @@ class DistributionMatrix:
                         f"entry {a!r} outside the open interval (0, 1)")
         for i in range(n):
             col = sum(r[i] for r in self.rows)
-            if abs(col - 1.0) > 1e-9:
+            if abs(col - 1.0) > SUM_TO_ONE_SLACK:
                 raise InvalidMatrixError(f"column {i} sums to {col!r}, expected 1")
 
     @staticmethod
@@ -103,7 +101,7 @@ class ThetaWeights:
                 raise InputError(f"{side} weights cannot be empty")
             if any(not w > 0.0 for w in values):
                 raise InputError(f"{side} weights must be strictly positive")
-            if abs(sum(values) - 1.0) > 1e-9:
+            if abs(sum(values) - 1.0) > SUM_TO_ONE_SLACK:
                 raise InputError(f"{side} weights must sum to 1, got {sum(values)!r}")
 
     @staticmethod
@@ -133,25 +131,29 @@ class CrossingCapacity:
             raise InputError(f"crossing capacity must be positive, got {self.gamma_j!r}")
 
 
+def _check_matrix_shape(matrix: DistributionMatrix, topology: NodeTopology,
+                        error: type[Exception] = InvalidMatrixError) -> None:
+    """Raise ``error`` unless the matrix is m x n for the n x m node."""
+    if (matrix.m, matrix.n) != (topology.m, topology.n):
+        raise error(f"matrix is {matrix.m}x{matrix.n}, node is {topology.n}x{topology.m}")
+
+
 # -- the uniqueness class of distribution matrices -------------------------------------
 
-def matrix_in_n(matrix: DistributionMatrix, topology: NodeTopology | None = None,
-                tol: float = 1e-10) -> bool:
+def matrix_in_n(matrix: DistributionMatrix, topology: NodeTopology | None = None) -> bool:
     """Whether the matrix admits a unique flux maximizer for every cap choice.
 
     The test: for every nonempty tuple of at most n-1 vectors drawn from the n
     coordinate directions and the m matrix rows, the all-ones vector must stay
     outside their span. Always false when n > m (the m rows alone sum to 1).
     """
-    if topology is not None and (matrix.m, matrix.n) != (topology.m, topology.n):
-        raise InvalidMatrixError(
-            f"matrix is {matrix.m}x{matrix.n}, topology wants "
-            f"{topology.m}x{topology.n}")
-    return _in_n_cached(matrix.rows, tol)
+    if topology is not None:
+        _check_matrix_shape(matrix, topology)
+    return _in_n_cached(matrix.rows)
 
 
 @lru_cache(maxsize=512)
-def _in_n_cached(rows: tuple[tuple[float, ...], ...], tol: float) -> bool:
+def _in_n_cached(rows: tuple[tuple[float, ...], ...]) -> bool:
     m, n = len(rows), len(rows[0])
     if n > m:
         return False
@@ -160,8 +162,8 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...], tol: float) -> bool:
         # every size-subset at once: one stacked rank test, without and with ones
         V = normals[np.array(list(itertools.combinations(range(n + m), size)))]
         with_ones = np.concatenate([V, np.ones((len(V), 1, n))], axis=1)
-        if (np.linalg.matrix_rank(V, tol=tol)
-                == np.linalg.matrix_rank(with_ones, tol=tol)).any():
+        if (np.linalg.matrix_rank(V, tol=RANK_TOL)
+                == np.linalg.matrix_rank(with_ones, tol=RANK_TOL)).any():
             return False
     return True
 
@@ -169,14 +171,13 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...], tol: float) -> bool:
 # -- linear programming over the demand box / supply polytope --------------------------
 
 def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float],
-                             matrix, feas_tol: float = 1e-9,
-                             match_tol: float = 1e-9) -> tuple[float, ...]:
+                             matrix) -> tuple[float, ...]:
     """Maximize sum(gamma) over {0 <= gamma <= caps_in, 0 <= A gamma <= caps_out}.
 
     Exact vertex enumeration for every n: each vertex solves n of the constraints
     {-gamma_i <= 0, gamma_i <= caps_in_i, (A gamma)_j <= caps_out_j} with equality,
     and the inverses of those n x n systems are cached per matrix. Feasible vertices
-    within ``match_tol`` of the best sum must coincide within ``match_tol``; a tie
+    within ``LP_MATCH_TOL`` of the best sum must coincide within it; a tie
     between geometrically distinct optima raises DegeneracyError (the numerical
     signature of a matrix outside the uniqueness class).
     """
@@ -187,14 +188,14 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     n, m = len(b), len(c)
     if len(rows) != m or any(len(row) != n for row in rows):
         raise InvalidMatrixError("matrix shape does not match the cap vectors")
-    if any(x < -1e-12 for x in b) or any(x < -1e-12 for x in c):
+    if any(x < -CAP_SLACK for x in b) or any(x < -CAP_SLACK for x in c):
         raise InadmissibleFluxError("caps must be nonnegative")
     normals, subsets, inverses = _vertex_systems(rows)
     # caps clamped at 0; the sign of a zero cap never reaches the vertices
     rhs = np.array([0.0] * n + [0.0 if x <= 0.0 else x for x in b]
                    + [0.0 if x <= 0.0 else x for x in c])
     vertices = np.einsum("kij,kj->ki", inverses, rhs[subsets])
-    bound = rhs[:, None] + feas_tol
+    bound = rhs[:, None] + FLUX_SLACK
     step = max(1, _GEMM_BLOCK // normals.size)
     mask = np.empty(len(vertices), dtype=bool)
     for i in range(0, len(vertices), step):
@@ -204,8 +205,8 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
         raise InadmissibleFluxError("empty feasible set (should not happen: 0 is in it)")
     sums = feasible.sum(axis=1)
     best = sums.argmax()
-    top = feasible[sums >= sums[best] - match_tol]
-    if len(top) > 1 and float((top.max(axis=0) - top.min(axis=0)).max()) > match_tol:
+    top = feasible[sums >= sums[best] - LP_MATCH_TOL]
+    if len(top) > 1 and float((top.max(axis=0) - top.min(axis=0)).max()) > LP_MATCH_TOL:
         raise DegeneracyError(
             "flux maximizer is not unique; matrix outside the uniqueness class")
     return tuple(feasible[best].tolist())
@@ -224,7 +225,7 @@ def _vertex_systems(rows: tuple[tuple[float, ...], ...]):
     normals = np.vstack([-np.eye(n), np.eye(n), A])
     subsets = np.array(list(itertools.combinations(range(len(normals)), n)))
     systems = normals[subsets]
-    regular = np.abs(np.linalg.det(systems)) >= 1e-12
+    regular = np.abs(np.linalg.det(systems)) >= SINGULAR_TOL
     out = (normals, subsets[regular], np.linalg.inv(systems[regular]))
     for array in out:
         array.flags.writeable = False
@@ -248,11 +249,11 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
     c = [float(x) for x in caps]
     if len(t) != len(c) or not t:
         raise InputError("target and caps must be equal-length, nonempty vectors")
-    if any(x < -1e-12 for x in c):
+    if any(x < -CAP_SLACK for x in c):
         raise InadmissibleFluxError("caps must be nonnegative")
     c = [max(0.0, x) for x in c]
     cap_sum = sum(c)
-    if total < -1e-9 or total > cap_sum + 1e-9:
+    if total < -FLUX_SLACK or total > cap_sum + FLUX_SLACK:
         raise InadmissibleFluxError(
             f"total {total!r} outside the feasible range [0, {cap_sum!r}]")
     total = min(max(total, 0.0), cap_sum)
@@ -293,13 +294,19 @@ def _solution(model: FluxModel, initial: RiemannState, caps: Sequence[FluxInterv
     return TraceSolution.from_traces(model, initial, traces)
 
 
+def _check_arcs(solver: str, topology: NodeTopology, n: int | None = None,
+                m: int | None = None) -> None:
+    """Raise TopologyError unless the node is n x m, or square when n is not given."""
+    if (topology.n != topology.m) if n is None else ((topology.n, topology.m) != (n, m)):
+        want = "matching arc counts" if n is None else f"a {n}x{m} node"
+        raise TopologyError(
+            f"{solver} needs {want} (topology is {topology.n}x{topology.m})")
+
+
 def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
               initial: RiemannState) -> TraceSolution:
     """Maximize total incoming flux routed through the distribution matrix."""
     topo = initial.topology
-    if (matrix.m, matrix.n) != (topo.m, topo.n):
-        raise InvalidMatrixError(
-            f"matrix is {matrix.m}x{matrix.n}, node is {topo.n}x{topo.m}")
     if not matrix_in_n(matrix, topo):
         raise InvalidMatrixError(
             "matrix outside the uniqueness class (no unique flux maximizer)")
@@ -340,9 +347,7 @@ def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
               initial: RiemannState) -> TraceSolution:
     """Per-line capped through-flow: incoming arc i feeds outgoing arc n+i."""
     topo = initial.topology
-    if topo.n != topo.m:
-        raise TopologyError(
-            f"per-line solver needs matching arc counts, got {topo.n}x{topo.m}")
+    _check_arcs("rs3", topo)
     if len(theta.incoming) != topo.n:
         raise TopologyError("incoming weight count does not match the topology")
     caps, flows = _caps(model, initial)
@@ -355,9 +360,7 @@ def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
 def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     """The unique entropy solver for one incoming and one outgoing arc."""
     topo = initial.topology
-    if (topo.n, topo.m) != (1, 1):
-        raise TopologyError(f"single-road solver needs a 1x1 node, got "
-                            f"{topo.n}x{topo.m}")
+    _check_arcs("rs_1x1", topo, 1, 1)
     caps, flows = _caps(model, initial)
     g = min(caps[0].sup, caps[1].sup)
     return _solution(model, initial, caps, flows, [g, g])
@@ -370,9 +373,7 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     above). Each branch pins traces so that the result lands in an admissible row of
     the 2x2 table, balances exactly, and is a fixed point of the map.
     """
-    topo = initial.topology
-    if (topo.n, topo.m) != (2, 2):
-        raise TopologyError(f"this solver needs a 2x2 node, got {topo.n}x{topo.m}")
+    _check_arcs("rs_e1_2x2", initial.topology, 2, 2)
     rho = list(initial.rho)
     s = model.sigma
     fm = model.f_max
@@ -509,18 +510,12 @@ def solver_from_config(model: FluxModel, config, topology: NodeTopology):
         if "A" not in config:
             raise InputError("rs1 needs a distribution matrix under key 'A'")
         matrix = DistributionMatrix.from_rows(config["A"])
-        if (matrix.m, matrix.n) != (topology.m, topology.n):
-            raise InvalidMatrixError(
-                f"matrix is {matrix.m}x{matrix.n}, node is "
-                f"{topology.n}x{topology.m}")
+        _check_matrix_shape(matrix, topology)
         return RS1Solver(model, matrix)
     if name == "rs2":
         return RS2Solver(model, _theta_from(config, topology))
     if name == "rs3":
-        if topology.n != topology.m:
-            raise TopologyError(
-                f"rs3 needs matching arc counts (topology is "
-                f"{topology.n}x{topology.m})")
+        _check_arcs(name, topology)
         try:
             gamma_j = float(config.get("gamma_j", math.inf))
         except (TypeError, ValueError) as exc:
@@ -528,14 +523,10 @@ def solver_from_config(model: FluxModel, config, topology: NodeTopology):
         return RS3Solver(model, _theta_from(config, topology),
                          CrossingCapacity(gamma_j))
     if name == "rs_1x1":
-        if (topology.n, topology.m) != (1, 1):
-            raise TopologyError(f"rs_1x1 needs a 1x1 node, got "
-                                f"{topology.n}x{topology.m}")
+        _check_arcs(name, topology, 1, 1)
         return RS1x1Solver(model)
     if name == "rs_e1_2x2":
-        if (topology.n, topology.m) != (2, 2):
-            raise TopologyError(f"rs_e1_2x2 needs a 2x2 node, got "
-                                f"{topology.n}x{topology.m}")
+        _check_arcs(name, topology, 2, 2)
         return RSE12x2Solver(model)
     raise InputError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 

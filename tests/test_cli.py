@@ -247,6 +247,23 @@ def test_entropy_round_trip_matches_in_process(tmp_path, capsys):
     assert payload["min_value"] == want.min_value
 
 
+def test_entropy_tolerance_flag_passed_only_when_given(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return check_E1(*args, **kwargs)
+
+    monkeypatch.setattr("junction_riemann.cli.check_E1", recording)
+    path = write_doc(tmp_path, "d.json", RS2_TRACE_DOC)
+    assert main(["entropy", "--input", path, "--tolerance", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["satisfied_E1"]
+    assert calls == [{"tol": 0.3}]
+    assert main(["entropy", "--input", path]) == 0
+    assert not json.loads(capsys.readouterr().out)["satisfied_E1"]
+    assert calls == [{"tol": 0.3}, {}]
+
+
 def test_entropy_csv_lists_candidates(tmp_path):
     out = tmp_path / "cands.csv"
     assert main(["entropy", "--input", write_doc(tmp_path, "d.json", RS2_TRACE_DOC),
@@ -359,9 +376,10 @@ SIM_DOC = {"state": {"n": 1, "m": 1, "rho": [0.75, 0.25]},
 
 
 @pytest.mark.parametrize("change", [
-    {"cells": "abc"}, {"length": "x"}, {"initial": ["a", "b"]}, {"cfl": [1]},
-    {"snapshots": 5}, "missing output directory",
-], ids=["cells", "length", "initial", "cfl", "snapshots", "output"])
+    {"cells": "abc"}, {"cells": 1e20}, {"length": "x"}, {"initial": ["a", "b"]},
+    {"cfl": [1]}, {"snapshots": 5}, "missing output directory",
+], ids=["cells", "cells_past_numpy_limit", "length", "initial", "cfl", "snapshots",
+        "output"])
 def test_simulate_malformed_document_exits_1(tmp_path, capsys, change):
     doc = dict(SIM_DOC)
     prefix = str(tmp_path / "sim")
@@ -374,6 +392,17 @@ def test_simulate_malformed_document_exits_1(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_simulate_grid_memory_error_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the grid")
+
+    monkeypatch.setattr("junction_riemann.netsim.np.full", exhausted)
+    assert main(["simulate", "--input", write_doc(tmp_path, "d.json", SIM_DOC)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "no room for the grid" in err
 
 
 def _deep_json(shape: str, depth: int) -> str:

@@ -154,6 +154,8 @@ def test_make_grids_validation():
     grids = make_grids(T11, [0.3, np.linspace(0.0, 1.0, 50)], cells=200)
     assert grids[0].cells == 200 and grids[1].cells == 50
     assert grids[1].dx == pytest.approx(1.0 / 50)
+    with pytest.raises(InputError, match="arc 0"):  # past numpy's largest dimension
+        make_grids(T11, [0.5, 0.5], cells=10**20)
 
 
 # -- single steps ------------------------------------------------------------------------
