@@ -34,6 +34,10 @@ from .solvers import rs1_solve, rs2_solve, rs3_solve, rs_e1_2x2_solve, \
     solver_from_config, CrossingCapacity, DistributionMatrix, ThetaWeights
 from .tolerances import REPRODUCE_TIGHT_TOL, REPRODUCE_TOL
 
+#: the most cells ``simulate`` builds from uniform (scalar) profiles, summed over the
+#: arcs: a step keeps a few float arrays of this length, about 80 MB each.
+MAX_CELLS = 10_000_000
+
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
@@ -249,6 +253,10 @@ def parse_simulation(doc: dict, state: RiemannState) -> dict:
     initial = doc.get("initial", list(state.rho))
     if not isinstance(initial, list):
         raise InputError(f"'initial' must be a list, got {initial!r}")
+    uniform = sum(not isinstance(p, list) for p in initial)
+    if int(cells) * uniform > MAX_CELLS:
+        raise InputError(f"'cells' {int(cells)} on {uniform} uniform arcs exceeds "
+                         f"{MAX_CELLS} cells in all")
     return {
         "cfl": _number(doc.get("cfl", 0.5), "'cfl'"),
         "t_end": _number(doc.get("t_end", 1.0), "'t_end'"),

@@ -15,10 +15,12 @@ Five solvers are provided, all mapping a :class:`RiemannState` to a
                         global entropy condition; a finite case split on the number of
                         bad data.
 
-The optimization helpers (exact vertex enumeration for the flux maximization, one
-numpy path for every arc count, and exact capped-simplex projection by a breakpoint
-search for the KKT shift, after Kiwiel 2008) are deliberately simple and are
-cross-checked against independent oracles in the test suite.
+The optimization helpers are deliberately simple, use plain floats rather than numpy,
+and are cross-checked against independent oracles in the test suite: the flux
+maximization is one bounded-variable primal simplex with Bland's rule, whose cost
+grows polynomially with the arc count in practice, and the capped-simplex projection
+is one sorted breakpoint walk for the KKT shift, after Kiwiel 2008. Only the
+uniqueness-class test :func:`matrix_in_n` enumerates subsets, in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
 from .flux import DECREASING, INCREASING, FluxInterval, FluxModel
 from .junction import NodeTopology, RiemannState, TraceSolution, _trace_from_flux
-from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_MATCH_TOL, RANK_TOL,
-                         SIGMA_TIE, SINGULAR_TOL, SUM_TO_ONE_SLACK)
+from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_COST_TOL, LP_MATCH_TOL,
+                         LP_PIVOT_TOL, RANK_TOL, SIGMA_TIE, SUM_TO_ONE_SLACK)
 
-#: multiply-adds per feasibility product in the LP, below OpenBLAS's multithreading
-#: threshold. Handed to the thread pool, a 6x6 call took 16 ms instead of 1 ms in about
-#: a third of runs on a 2-core machine. Products of 4x5 and smaller stay one call.
-_GEMM_BLOCK = 1 << 16
+#: subsets per stacked rank test in :func:`matrix_in_n`. A 10x10 node has up to
+#: C(20, 9) = 167 960 subsets of one size; in chunks, each test holds about 4 MB.
+_RANK_CHUNK = 4096
 
 
 # -- parameter types ------------------------------------------------------------------
@@ -159,12 +160,14 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...]) -> bool:
         return False
     normals = np.vstack([np.eye(n), np.asarray(rows, dtype=float)])
     for size in range(1, n):
-        # every size-subset at once: one stacked rank test, without and with ones
-        V = normals[np.array(list(itertools.combinations(range(n + m), size)))]
-        with_ones = np.concatenate([V, np.ones((len(V), 1, n))], axis=1)
-        if (np.linalg.matrix_rank(V, tol=RANK_TOL)
-                == np.linalg.matrix_rank(with_ones, tol=RANK_TOL)).any():
-            return False
+        # the size-subsets in chunks: one stacked rank test each, without and with ones
+        subsets = itertools.combinations(range(n + m), size)
+        while chunk := list(itertools.islice(subsets, _RANK_CHUNK)):
+            V = normals[np.array(chunk)]
+            with_ones = np.concatenate([V, np.ones((len(V), 1, n))], axis=1)
+            if (np.linalg.matrix_rank(V, tol=RANK_TOL)
+                    == np.linalg.matrix_rank(with_ones, tol=RANK_TOL)).any():
+                return False
     return True
 
 
@@ -174,12 +177,16 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
                              matrix) -> tuple[float, ...]:
     """Maximize sum(gamma) over {0 <= gamma <= caps_in, 0 <= A gamma <= caps_out}.
 
-    Exact vertex enumeration for every n: each vertex solves n of the constraints
-    {-gamma_i <= 0, gamma_i <= caps_in_i, (A gamma)_j <= caps_out_j} with equality,
-    and the inverses of those n x n systems are cached per matrix. Feasible vertices
-    within ``LP_MATCH_TOL`` of the best sum must coincide within it; a tie
-    between geometrically distinct optima raises DegeneracyError (the numerical
-    signature of a matrix outside the uniqueness class).
+    One bounded-variable primal simplex (Dantzig's upper-bounding technique) in
+    plain floats: the tableau has a row per outgoing constraint and a column per
+    nonbasic variable, the incoming fluxes keep their box [0, caps_in] as bounds,
+    and the start at gamma = 0 is feasible because every cap is >= 0. Bland's rule
+    (Bland 1977) picks the entering and the leaving variable, so degenerate
+    vertices terminate. The optimum is unique unless a second run of the same loop
+    over the optimal face, which keeps fixed every nonbasic variable of nonzero
+    reduced cost and moves the others as far from their bounds as it can, finds a
+    point further than ``LP_MATCH_TOL`` away; then DegeneracyError is raised (the
+    numerical signature of a matrix outside the uniqueness class).
     """
     rows = matrix.rows if isinstance(matrix, DistributionMatrix) else \
         tuple(tuple(float(a) for a in row) for row in matrix)
@@ -188,48 +195,99 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     n, m = len(b), len(c)
     if len(rows) != m or any(len(row) != n for row in rows):
         raise InvalidMatrixError("matrix shape does not match the cap vectors")
-    if any(x < -CAP_SLACK for x in b) or any(x < -CAP_SLACK for x in c):
+    if not all(x >= -CAP_SLACK for x in b + c):  # NaN fails too
         raise InadmissibleFluxError("caps must be nonnegative")
-    normals, subsets, inverses = _vertex_systems(rows)
-    # caps clamped at 0; the sign of a zero cap never reaches the vertices
-    rhs = np.array([0.0] * n + [0.0 if x <= 0.0 else x for x in b]
-                   + [0.0 if x <= 0.0 else x for x in c])
-    vertices = np.einsum("kij,kj->ki", inverses, rhs[subsets])
-    bound = rhs[:, None] + FLUX_SLACK
-    step = max(1, _GEMM_BLOCK // normals.size)
-    mask = np.empty(len(vertices), dtype=bool)
-    for i in range(0, len(vertices), step):
-        mask[i:i + step] = (normals @ vertices[i:i + step].T <= bound).all(axis=0)
-    feasible = vertices[mask]
-    if not len(feasible):
-        raise InadmissibleFluxError("empty feasible set (should not happen: 0 is in it)")
-    sums = feasible.sum(axis=1)
-    best = sums.argmax()
-    top = feasible[sums >= sums[best] - LP_MATCH_TOL]
-    if len(top) > 1 and float((top.max(axis=0) - top.min(axis=0)).max()) > LP_MATCH_TOL:
-        raise DegeneracyError(
-            "flux maximizer is not unique; matrix outside the uniqueness class")
-    return tuple(feasible[best].tolist())
+    # variables 0..n-1 are gamma, n..n+m-1 the slacks c - A gamma; caps clamped at 0
+    upper = [x if x > 0.0 else 0.0 for x in b] + [math.inf] * m
+    x = [0.0] * n + [v if v > 0.0 else 0.0 for v in c]
+    T = [list(row) for row in rows]
+    basis, cols, cost = list(range(n, n + m)), list(range(n)), [1.0] * n
+    _pivot_to_optimum(T, basis, cols, cost, x, upper, ())
+    free = [k for k, d in enumerate(cost) if -LP_COST_TOL <= d <= LP_COST_TOL
+            and upper[cols[k]] > 0.0]
+    best = x[:n]
+    if free:
+        # over the optimal face, push each zero-cost variable away from its bound
+        face = [0.0] * n
+        for k in free:
+            face[k] = -1.0 if x[cols[k]] > 0.0 else 1.0
+        _pivot_to_optimum(T, basis, cols, face, x, upper,
+                          {v for k, v in enumerate(cols) if k not in free})
+        if max(abs(u - v) for u, v in zip(x, best)) > LP_MATCH_TOL:
+            raise DegeneracyError(
+                "flux maximizer is not unique; matrix outside the uniqueness class")
+    # rounding can leave a basic flux an ulp outside its box
+    return tuple([(v if v < u else u) if v > 0.0 else 0.0 for v, u in zip(best, upper)])
 
 
-@lru_cache(maxsize=64)
-def _vertex_systems(rows: tuple[tuple[float, ...], ...]):
-    """Constraint normals of the LP, the nonsingular n-subsets and their inverses.
+def _pivot_to_optimum(T: list[list[float]], basis: list[int], cols: list[int],
+                      cost: list[float], x: list[float], upper: list[float],
+                      fixed) -> None:
+    """Run the bounded simplex on a condensed tableau until no variable improves.
 
-    At most C(2n+m, n) subsets: up to about 0.1 MB for 4x5, 5 MB for 6x6 and 45 MB
-    for 7x7 per matrix, hence the small cache. The arrays are shared by every call,
-    so they are read-only.
+    Row r reads ``x[basis[r]] = beta_r - sum_k T[r][k] x[cols[k]]`` and ``cost[k]``
+    is the reduced cost of column k; nonbasic variables sit at 0 or at ``upper``,
+    ``x`` holds every variable's value, and the variables in ``fixed`` never enter.
+    All arguments except ``upper`` and ``fixed`` are updated in place.
     """
-    A = np.asarray(rows, dtype=float)
-    n = A.shape[1]
-    normals = np.vstack([-np.eye(n), np.eye(n), A])
-    subsets = np.array(list(itertools.combinations(range(len(normals)), n)))
-    systems = normals[subsets]
-    regular = np.abs(np.linalg.det(systems)) >= SINGULAR_TOL
-    out = (normals, subsets[regular], np.linalg.inv(systems[regular]))
-    for array in out:
-        array.flags.writeable = False
-    return out
+    inf, cost_tol, pivot_tol = math.inf, LP_COST_TOL, LP_PIVOT_TOL
+    while True:
+        # Bland: of the variables that improve the objective, the smallest enters
+        enter, var = -1, len(x)
+        for k, d in enumerate(cost):
+            if d > cost_tol or d < -cost_tol:
+                v = cols[k]
+                # at 0 it may rise when d > 0, at its upper bound fall when d < 0
+                if v < var and (d > 0.0) != (x[v] > 0.0) and upper[v] > 0.0 \
+                        and v not in fixed:
+                    enter, var = k, v
+        if enter < 0:
+            return
+        k = enter
+        rising = x[var] <= 0.0
+        col = [row[k] for row in T] if rising else [-row[k] for row in T]
+        # ratio test: the entering variable's bound flip, or a basic variable
+        # reaching a bound first; ties go to the smallest variable
+        step, leave, bound = upper[var], -1, 0.0
+        for r, a in enumerate(col):
+            if a > pivot_tol:
+                w = basis[r]
+                limit, at = (x[w] if x[w] > 0.0 else 0.0) / a, 0.0
+            elif a < -pivot_tol and upper[basis[r]] < inf:
+                w = basis[r]
+                at = upper[w]
+                limit = (at - x[w] if x[w] < at else 0.0) / -a
+            else:
+                continue
+            if limit < step or (limit == step and leave >= 0 and w < basis[leave]):
+                step, leave, bound = limit, r, at
+        if step == inf:
+            raise InadmissibleFluxError(
+                "unbounded LP (should not happen: gamma is boxed)")
+        if step > 0.0:
+            for w, a in zip(basis, col):
+                x[w] -= a * step
+        if leave < 0:
+            x[var] = upper[var] if rising else 0.0
+            continue
+        x[var] += step if rising else -step
+        out = basis[leave]
+        x[out] = bound
+        basis[leave], cols[k] = var, out
+        p = T[leave][k]
+        prow = [a / p for a in T[leave]]
+        prow[k] = 1.0 / p
+        T[leave] = prow
+        for r, row in enumerate(T):
+            f = row[k]
+            if f != 0.0 and r != leave:
+                new = [a - f * q for a, q in zip(row, prow)]
+                new[k] = -f / p
+                T[r] = new
+        f = cost[k]
+        if f != 0.0:
+            cost[:] = [a - f * q for a, q in zip(cost, prow)]
+        cost[k] = -f / p
 
 
 # -- projection onto a capped simplex --------------------------------------------------
@@ -239,11 +297,13 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
     """Euclidean projection of ``target`` onto {0 <= x <= caps, sum x = total}.
 
     By the KKT conditions it is clip(target + lam, 0, caps) for the lam whose sum is
-    ``total``. That sum is piecewise linear and nondecreasing in lam, with kinks at
-    -target_i and caps_i - target_i; the exact breakpoint search of Kiwiel 2008
-    ("Breakpoint searching algorithms for the continuous quadratic knapsack problem")
-    walks the sorted kinks to the first whose sum reaches ``total`` and interpolates
-    once on the segment before it, taking the left end of a flat segment.
+    ``total``. That sum is piecewise linear and nondecreasing in lam: its slope rises
+    by one at each -target_i and falls by one at each caps_i - target_i. The
+    breakpoint walk of Kiwiel 2008 ("Breakpoint searching algorithms for the
+    continuous quadratic knapsack problem") sorts these 2n kinks once and carries the
+    sum and the slope from kink to kink, up to the first kink whose sum reaches
+    ``total``; it interpolates once on the segment before it, taking the left end of
+    a flat segment.
     """
     t = [float(x) for x in target]
     c = [float(x) for x in caps]
@@ -251,24 +311,26 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
         raise InputError("target and caps must be equal-length, nonempty vectors")
     if any(x < -CAP_SLACK for x in c):
         raise InadmissibleFluxError("caps must be nonnegative")
-    c = [max(0.0, x) for x in c]
+    c = [x if x > 0.0 else 0.0 for x in c]
     cap_sum = sum(c)
     if total < -FLUX_SLACK or total > cap_sum + FLUX_SLACK:
         raise InadmissibleFluxError(
             f"total {total!r} outside the feasible range [0, {cap_sum!r}]")
     total = min(max(total, 0.0), cap_sum)
-    pairs = list(zip(t, c))
-    lo = lo_sum = None
-    for kink in sorted({-ti for ti in t}.union([ci - ti for ti, ci in pairs])):
-        s = sum(min(max(ti + kink, 0.0), ci) for ti, ci in pairs)
-        if s >= total:
-            lam = kink if lo is None else \
-                lo + (total - lo_sum) * (kink - lo) / (s - lo_sum)
-            break
-        lo, lo_sum = kink, s
-    else:  # rounding left the last kink's sum a hair below total = cap_sum
-        lam = lo
-    return tuple(min(max(ti + lam, 0.0), ci) for ti, ci in pairs)
+    kinks = sorted([(-ti, 1) for ti in t] + [(ci - ti, -1) for ti, ci in zip(t, c)])
+    # left of every kink each term is clipped to 0, so the sum is 0
+    lam, s, slope = kinks[0][0], 0.0, 0
+    for kink, rise in kinks:
+        if kink > lam:
+            at_kink = s + slope * (kink - lam)
+            if at_kink >= total:
+                if s < total:
+                    lam += (total - s) / slope
+                break
+            lam, s = kink, at_kink
+        slope += rise
+    return tuple([0.0 if v < 0.0 else ci if ci < v else v
+                  for v, ci in zip([ti + lam for ti in t], c)])
 
 
 # -- solvers ---------------------------------------------------------------------------
@@ -313,8 +375,8 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     caps, flows = _caps(model, initial)
     g_in = lp_maximize_box_polytope([c.sup for c in caps[:topo.n]],
                                     [c.sup for c in caps[topo.n:]], matrix)
-    g_out = [min(sum(matrix.rows[j][i] * g_in[i] for i in range(topo.n)),
-                 caps[topo.n + j].sup) for j in range(topo.m)]
+    g_out = [min(sum([a * g for a, g in zip(row, g_in)]), cap.sup)
+             for row, cap in zip(matrix.rows, caps[topo.n:])]
     return _solution(model, initial, caps, flows, [*g_in, *g_out])
 
 

@@ -39,10 +39,16 @@ CLASSIFY_EQ_TOL = 1e-10
 # -- linear algebra and the flux-maximization LP --------------------------------------
 #: rank cutoff of the uniqueness-class test for distribution matrices.
 RANK_TOL = 1e-10
-#: a constraint system with |det| below this, or a singular value below it, is singular.
+#: a singular value below this counts as zero in the face rank test.
 SINGULAR_TOL = 1e-12
-#: LP optima within this of the best sum must coincide within it, or none is unique.
+#: a second LP optimum further than this from the first makes the maximizer not unique.
 LP_MATCH_TOL = 1e-9
+#: a simplex reduced cost this small is zero: a pivot adds rounding of about 1e-16,
+#: and the zero-cost variables span the optimal face that the uniqueness run explores.
+LP_COST_TOL = 1e-12
+#: a tableau entry this small is no pivot: dividing by it would magnify rounding by
+#: 1e12 or more, and its basic variable moves at most this much per unit step.
+LP_PIVOT_TOL = 1e-12
 
 # -- faces of the flux polytope -------------------------------------------------------
 #: a flux this close to its cap is pinned by the face; also the pinning residual bound.

@@ -41,42 +41,40 @@ def bisect_flux_inverse(model, gamma: float, branch: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def entropy_flux_grid(model, n: int, rho: np.ndarray, k_points: int = 100_001,
-                      chunk: int = 64):
+def entropy_flux_grid(model, n: int, rho: np.ndarray, k_points: int = 100_001):
     """Minimum of the node entropy functional over a dense k-grid.
 
     ``rho`` has shape (S, n+m); returns (min_values, argmin_k) arrays of length S.
-    Vectorized over a batch of states at once; chunked to bound memory.
+    One state at a time, each arc adds sign(r - k) (f(r) - f(k)) to one grid row,
+    negated for outgoing arcs. The grid is sorted, so that is f(r) - f(k) below
+    ``searchsorted(k, r)`` and f(k) - f(r) from there on (at k = r both are 0):
+    two in-place passes per arc over a row small enough to stay in cache.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    total = rho.shape[1]
     k = np.linspace(0.0, 1.0, k_points)
     fk = np.asarray(model.value(k), dtype=float)
+    fr = np.asarray(model.value(rho), dtype=float)
+    split = np.searchsorted(k, rho)
     mins = np.empty(rho.shape[0])
     args = np.empty(rho.shape[0])
-    rows = min(chunk, rho.shape[0])
-    acc_buf = np.empty((rows, k_points))
-    sign_buf = np.empty((rows, k_points))
-    gap_buf = np.empty((rows, k_points))
-    for start in range(0, rho.shape[0], chunk):
-        block = rho[start:start + chunk]
-        acc = acc_buf[:block.shape[0]]
-        sign = sign_buf[:block.shape[0]]
-        gap = gap_buf[:block.shape[0]]
+    acc = np.empty(k_points)
+    for i in range(rho.shape[0]):
         acc.fill(0.0)
-        for l in range(total):
-            r = block[:, l:l + 1]
-            # term = sign(r - k) * (f(r) - f(k)), built in place
-            np.sign(np.subtract(r, k[None, :], out=sign), out=sign)
-            np.subtract(np.asarray(model.value(r)), fk[None, :], out=gap)
-            sign *= gap
+        for l, (j, f) in enumerate(zip(split[i], fr[i])):
+            left, right = acc[:j], acc[j:]
             if l < n:
-                acc += sign
+                left += f
+                left -= fk[:j]
+                right -= f
+                right += fk[j:]
             else:
-                acc -= sign
-        idx = np.argmin(acc, axis=1)
-        mins[start:start + chunk] = acc[np.arange(block.shape[0]), idx]
-        args[start:start + chunk] = k[idx]
+                left -= f
+                left += fk[:j]
+                right += f
+                right -= fk[j:]
+        idx = int(np.argmin(acc))
+        mins[i] = acc[idx]
+        args[i] = k[idx]
     return mins, args
 
 
@@ -147,7 +145,7 @@ def lp_linprog_value(caps_in, caps_out, matrix) -> float:
     """Optimal sum(gamma) over {0 <= gamma <= caps_in, A gamma <= caps_out}.
 
     Solved by scipy's HiGHS ``linprog``, a simplex code independent of the package's
-    vertex enumeration; any n.
+    own; any n.
     """
     from scipy.optimize import linprog
 
@@ -225,12 +223,14 @@ class NotUniqueError(Exception):
 
 def lp_vertex_reference(caps_in, caps_out, rows, feas_tol: float = 1e-9,
                         match_tol: float = 1e-9) -> tuple[float, ...]:
-    """The flux-maximization LP by vertex enumeration, with the arithmetic that
-    ``lp_maximize_box_polytope`` must reproduce: one inverse per nonsingular
-    n-subset of the constraints, one batched ``einsum`` for the vertices, a
-    feasibility product in blocks of 2**16 multiply-adds, the first vertex of
-    largest sum, and ``NotUniqueError`` when the vertices within ``match_tol`` of
-    that sum spread by more than ``match_tol``. Nothing is cached."""
+    """The flux-maximization LP by vertex enumeration, independent of the
+    package's simplex: one inverse per nonsingular n-subset of the constraints,
+    one batched ``einsum`` for the vertices, a feasibility product in blocks of
+    2**16 multiply-adds, the first vertex of largest sum, and ``NotUniqueError``
+    when the vertices within ``match_tol`` of that sum spread by more than
+    ``match_tol``. Nothing is cached; C(2n+m, n) subsets, so n <= 6 only.
+    ``lp_maximize_box_polytope`` agrees with it within ``LP_MATCH_TOL``, not bit
+    for bit."""
     A = np.asarray(rows, dtype=float)
     b = [float(x) for x in caps_in]
     c = [float(x) for x in caps_out]

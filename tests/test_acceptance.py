@@ -136,7 +136,7 @@ def test_criterion_07_classification_agrees_with_both_oracles():
     rng = default_rng(20260815)
     states = [random_balanced_state(rng, QUAD, T22) for _ in range(10_000)]
     grid_mins, _ = entropy_flux_grid(QUAD, 2, np.array([s.rho for s in states]),
-                                     k_points=100_001, chunk=128)
+                                     k_points=100_001)
     for state, grid_min in zip(states, grid_mins):
         report = check_E1(QUAD, state)
         verdict = classify_2x2(QUAD, state)

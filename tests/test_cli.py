@@ -405,6 +405,20 @@ def test_simulate_grid_memory_error_exits_1(tmp_path, capsys, monkeypatch):
     assert "no room for the grid" in err
 
 
+def test_simulate_too_many_cells_exits_1_before_allocating(tmp_path, capsys,
+                                                           monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grids were built")
+
+    monkeypatch.setattr("junction_riemann.cli.make_grids", refuse)
+    monkeypatch.setattr("junction_riemann.netsim.np.full", refuse)
+    doc = dict(SIM_DOC, cells=10**9)
+    assert main(["simulate", "--input", write_doc(tmp_path, "d.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "'cells'" in err
+
+
 def _deep_json(shape: str, depth: int) -> str:
     if shape == "arrays":
         return "[" * depth + "0.5" + "]" * depth

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from junction_riemann import (
     rs_e1_2x2_solve,
     solver_from_config,
 )
+from junction_riemann.tolerances import FLUX_SLACK, LP_MATCH_TOL
 from oracles import (
     capped_simplex_projection_kkt,
     lp_best_grid_value,
@@ -214,9 +216,12 @@ def test_lp_wide_degenerate_matrix_detected():
         lp_maximize_box_polytope((0.5,) * 4, (1.0, 1.0, 1.0, 0.3), matrix)
 
 
-def _same_floats(got, want) -> bool:
-    """Equal values and equal signs, so that -0.0 and 0.0 are told apart."""
-    return got == want and np.signbit(got).tolist() == np.signbit(want).tolist()
+def _agrees_with_reference(got, want) -> bool:
+    """Coordinate-wise agreement within LP_MATCH_TOL, and no -0.0 (or negative)
+    output, whatever the sign of a zero cap."""
+    return (len(got) == len(want)
+            and all(abs(g - w) <= LP_MATCH_TOL for g, w in zip(got, want))
+            and not np.signbit(got).any())
 
 
 def test_lp_equals_vertex_reference(quad, tri, tab):
@@ -240,7 +245,7 @@ def test_lp_equals_vertex_reference(quad, tri, tab):
                     caps_out[k % matrix.m] = special
                 want = lp_vertex_reference(caps_in, caps_out, matrix.rows)
                 got = lp_maximize_box_polytope(caps_in, caps_out, matrix)
-                assert _same_floats(got, want), (caps_in, caps_out, matrix.rows)
+                assert _agrees_with_reference(got, want), (caps_in, caps_out, matrix.rows)
                 calls += 1
     assert calls == 4 * 3 * 40
 
@@ -252,11 +257,88 @@ def test_lp_degenerate_vertex_returns_the_point():
     caps_out = tuple((MATRIX_2X2.as_array() @ np.array(caps_in)).tolist())
     reference = lp_vertex_reference(caps_in, caps_out, MATRIX_2X2.rows)
     got = lp_maximize_box_polytope(caps_in, caps_out, MATRIX_2X2)
-    assert _same_floats(got, reference)
+    assert _agrees_with_reference(got, reference)
     assert got == pytest.approx(caps_in, abs=1e-12)
     normals = np.vstack([-np.eye(2), np.eye(2), MATRIX_2X2.as_array()])
     rhs = np.concatenate([np.zeros(2), caps_in, caps_out])
     assert np.sum(np.abs(normals @ np.array(got) - rhs) <= 1e-12) == 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lp_degenerate_vertex_panel_returns_the_point(n):
+    # caps_out = A caps_in puts up to 2n active constraints at the optimum caps_in,
+    # some caps zero; the pivoting must terminate there and prove it unique
+    rng = default_rng(3100 + n)
+    for m in (n, n + 1):
+        matrix = _certified_matrix(rng, n, m)
+        A = matrix.as_array()
+        for k in range(12):
+            caps_in = rng.uniform(0.0, 1.0, n)
+            caps_in[rng.random(n) < 0.3] = 0.0
+            if k == 0:
+                caps_in[:] = 0.0
+            caps_out = A @ caps_in
+            got = lp_maximize_box_polytope(caps_in.tolist(), caps_out.tolist(), matrix)
+            assert got == pytest.approx(caps_in.tolist(), abs=1e-12)
+            want = lp_vertex_reference(caps_in, caps_out, matrix.rows)
+            assert _agrees_with_reference(got, want)
+
+
+def _random_matrix(rng, n: int, m: int) -> DistributionMatrix:
+    """A generic column-stochastic matrix, not certified: beyond 6x6 the uniqueness
+    test alone takes seconds, and a generic matrix has a unique maximizer."""
+    a = rng.uniform(0.1, 1.0, (m, n))
+    return DistributionMatrix.from_rows(a / a.sum(axis=0))
+
+
+@pytest.mark.parametrize("n", [7, 8, 10])
+def test_lp_matches_linprog_on_large_nodes(quad, n):
+    rng = default_rng(3200 + n)
+    topo = NodeTopology(n, n)
+    for _ in range(3):
+        matrix = _random_matrix(rng, n, n)
+        A = matrix.as_array()
+        for _ in range(6):
+            data = random_state(rng, topo)
+            caps_in = [quad.demand(r).sup for r in data.incoming]
+            caps_out = [quad.supply(r).sup for r in data.outgoing]
+            got = np.asarray(lp_maximize_box_polytope(caps_in, caps_out, matrix))
+            assert got.sum() == pytest.approx(lp_linprog_value(caps_in, caps_out, A),
+                                              abs=1e-8)
+            assert np.all(got >= 0.0) and np.all(got <= np.asarray(caps_in) + FLUX_SLACK)
+            assert np.all(A @ got <= np.asarray(caps_out) + FLUX_SLACK)
+
+
+def test_lp_memory_stays_small_at_10x10(quad):
+    rng = default_rng(3300)
+    matrix = _random_matrix(rng, 10, 10)
+    data = random_state(rng, NodeTopology(10, 10))
+    caps_in = [quad.demand(r).sup for r in data.incoming]
+    caps_out = [quad.supply(r).sup for r in data.outgoing]
+    tracemalloc.start()
+    try:
+        lp_maximize_box_polytope(caps_in, caps_out, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_rs1_end_to_end_at_7x7(any_model):
+    rng = default_rng(3400)
+    topo = NodeTopology(7, 7)
+    matrix = _certified_matrix(rng, 7, 7)
+    A = matrix.as_array()
+    for _ in range(4):
+        data = random_state(rng, topo)
+        caps_in = [any_model.demand(r).sup for r in data.incoming]
+        caps_out = [any_model.supply(r).sup for r in data.outgoing]
+        solution = rs1_solve(any_model, matrix, data)
+        assert solution.balanced and solution.admissible
+        assert sum(solution.gamma[:7]) == pytest.approx(
+            lp_linprog_value(caps_in, caps_out, A), abs=1e-8)
+        again = rs1_solve(any_model, matrix, solution.state)
+        assert again.state.rho == pytest.approx(solution.state.rho, abs=1e-10)
 
 
 def test_lp_input_errors():
@@ -268,6 +350,10 @@ def test_lp_input_errors():
         lp_maximize_box_polytope((0.5, -1e-9), (0.5, 0.5), MATRIX_2X2)
     with pytest.raises(InadmissibleFluxError):
         lp_maximize_box_polytope((0.5, 0.5), (-1e-9, 0.5), MATRIX_2X2)
+    with pytest.raises(InadmissibleFluxError):
+        lp_maximize_box_polytope((math.nan, 0.5), (0.5, 0.5), MATRIX_2X2)
+    with pytest.raises(InadmissibleFluxError):
+        lp_maximize_box_polytope((0.5, 0.5), (0.5, math.nan), MATRIX_2X2)
 
 
 # -- projection -------------------------------------------------------------------------
@@ -359,6 +445,27 @@ def test_projection_edge_cases_match_kkt_oracle(kind):
         assert abs(got.sum() - total) <= 1e-12
         want = capped_simplex_projection_kkt(target, caps, total)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("total", ["zero", "full", "between"])
+def test_projection_matches_kkt_oracle_up_to_ten_arcs(n, total):
+    # each case mixes caps of 0 and of -1e-13 (clamped to 0) with groups of equal
+    # targets, whose kinks coincide
+    rng = default_rng(2300 + 10 * n + ("zero", "full", "between").index(total))
+    caps = rng.uniform(0.0, 1.0, n)
+    caps[:2] = 0.0
+    caps[2:4] = -1e-13
+    target = rng.choice(rng.uniform(-0.5, 1.5, 3), n)
+    rng.shuffle(caps)
+    clamped = np.maximum(caps, 0.0)
+    total = {"zero": 0.0, "full": float(clamped.sum()),
+             "between": float(rng.uniform(0.0, clamped.sum()))}[total]
+    got = np.asarray(project_capped_simplex(tuple(target), tuple(caps), total))
+    assert np.all(got >= 0.0) and np.all(got <= clamped)
+    assert abs(got.sum() - total) <= 1e-12
+    want = capped_simplex_projection_kkt(target, clamped, total)
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_projection_returns_a_feasible_target_unchanged():
