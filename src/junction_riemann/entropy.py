@@ -255,7 +255,7 @@ def face_active_set(model: FluxModel, initial: RiemannState,
     topo = initial.topology
     if len(gamma) != topo.total:
         raise TopologyError("flux vector length does not match the topology")
-    caps, _ = _caps(model, initial)
+    caps = _caps(model, initial)
     return frozenset(l for l, (g, cap) in enumerate(zip(gamma, caps))
                      if abs(g - cap.sup) <= FACE_TOL)
 
@@ -321,7 +321,7 @@ def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
 
     n = topo.n
     A = matrix.as_array()
-    intervals, flows = _caps(model, initial)
+    intervals = _caps(model, initial)
     caps = np.array([c.sup for c in intervals])
 
     # the face pins each arc in H at its cap: row l of [I; A] times gamma = caps[l]
@@ -362,7 +362,7 @@ def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
     gammas, values = [], []
     for g in found:
         gamma = (*g.tolist(), *(A @ g).tolist())
-        traces = _solution(model, initial, intervals, flows, gamma).state
+        traces = _solution(model, initial, intervals, gamma).state
         g_val = entropy_flux(model, traces, model.sigma)
         e_free = sum(gamma[i] for i in range(n) if i not in H)
         gammas.append(gamma)

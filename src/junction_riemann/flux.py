@@ -14,10 +14,10 @@ orientations, and exact inversion on either monotone branch.
 The scalar path uses no numpy: a float density is evaluated in plain Python, and the
 tabulated flux and its inverses use an exact one-point interpolation with
 ``np.interp``'s arithmetic, so their scalar values equal ``np.interp``'s bit for bit.
-Public methods check their densities; the private ``_value``, ``_tau``,
-``_demand``, ``_supply``, ``_contains_in`` and ``_contains_out`` are their unchecked
-cores, for densities a caller has already checked (``_demand`` and ``_supply`` also
-take the datum's flux, so that a caller who has it does not evaluate f twice).
+Every method checks its densities, and the private ``_value`` is the one unchecked
+kernel: the Godunov step runs it in place on whole arrays, and code holding densities
+already checked (those of a ``RiemannState``) calls it directly. The check returns at
+once for a density in [0, 1], so a checked call costs little more than the kernel.
 Densities within ``DENSITY_SLACK`` of [0, 1] and fluxes within ``FLUX_SLACK`` of their
 range are clamped; these and ``BOUNDARY_EPS`` live in :mod:`junction_riemann.tolerances`.
 """
@@ -44,20 +44,17 @@ DECREASING = "decreasing"
 
 @dataclass(frozen=True)
 class FluxInterval:
-    """The interval [lower, upper] of fluxes an arc can send or receive."""
+    """The interval [0, sup] of fluxes an arc can send or receive."""
 
-    upper: float
-    lower: float = 0.0
+    sup: float
 
     def contains(self, gamma: float) -> bool:
-        return self.lower - FLUX_SLACK <= gamma <= self.upper + FLUX_SLACK
-
-    @property
-    def sup(self) -> float:
-        return self.upper
+        return -FLUX_SLACK <= gamma <= self.sup + FLUX_SLACK
 
 
 def _check_density(rho: float, what: str = "density") -> float:
+    if 0.0 <= rho <= RHO_MAX:  # NaN fails this and reaches the raise below
+        return rho
     if not math.isfinite(rho) or rho < -DENSITY_SLACK or rho > RHO_MAX + DENSITY_SLACK:
         raise DomainError(f"{what} {rho!r} outside [0, {RHO_MAX}]")
     return min(max(rho, 0.0), RHO_MAX)
@@ -271,10 +268,7 @@ class FluxModel:
 
     def tau(self, rho: float) -> float:
         """The density on the other branch with the same flux; tau(sigma) = sigma."""
-        return self._tau(_check_density(rho))
-
-    def _tau(self, rho: float) -> float:
-        """:meth:`tau` without the domain check, for a density already in [0, 1]."""
+        rho = _check_density(rho)
         if self.kind == "quadratic":
             return RHO_MAX - rho
         if self.kind == "triangular":
@@ -290,22 +284,12 @@ class FluxModel:
     def demand(self, rho0: float) -> FluxInterval:
         """Fluxes an incoming arc with datum ``rho0`` can send into the node."""
         rho0 = _check_density(rho0)
-        return self._demand(rho0, self._value(rho0))
-
-    def _demand(self, rho0: float, f0: float) -> FluxInterval:
-        """:meth:`demand` without the domain check, for a datum whose flux ``f0`` is
-        known."""
-        return FluxInterval(float(f0) if rho0 <= self.sigma else self.f_max)
+        return FluxInterval(float(self._value(rho0)) if rho0 <= self.sigma else self.f_max)
 
     def supply(self, rho0: float) -> FluxInterval:
         """Fluxes an outgoing arc with datum ``rho0`` can absorb from the node."""
         rho0 = _check_density(rho0)
-        return self._supply(rho0, self._value(rho0))
-
-    def _supply(self, rho0: float, f0: float) -> FluxInterval:
-        """:meth:`supply` without the domain check, for a datum whose flux ``f0`` is
-        known."""
-        return FluxInterval(self.f_max if rho0 <= self.sigma else float(f0))
+        return FluxInterval(self.f_max if rho0 <= self.sigma else float(self._value(rho0)))
 
     def contains_trace_in(self, rho0: float, rho: float) -> bool:
         """Whether ``rho`` is an admissible node-side trace for an incoming arc.
@@ -315,15 +299,11 @@ class FluxModel:
         treated as excluded when within ``BOUNDARY_EPS``. For rho0 >= sigma the set is
         [sigma, 1].
         """
-        return self._contains_in(_check_density(rho0, "datum"),
-                                 _check_density(rho, "trace"))
-
-    def _contains_in(self, rho0: float, rho: float) -> bool:
-        """:meth:`contains_trace_in` without the domain checks."""
+        rho0, rho = _check_density(rho0, "datum"), _check_density(rho, "trace")
         if abs(rho - rho0) <= BOUNDARY_EPS:
             return True
         if rho0 <= self.sigma:
-            return rho - self._tau(rho0) > BOUNDARY_EPS
+            return rho - self.tau(rho0) > BOUNDARY_EPS
         return rho >= self.sigma - BOUNDARY_EPS
 
     def contains_trace_out(self, rho0: float, rho: float) -> bool:
@@ -332,15 +312,11 @@ class FluxModel:
         For rho0 >= sigma the set is {rho0} together with [0, tau(rho0)[; otherwise
         it is [0, sigma].
         """
-        return self._contains_out(_check_density(rho0, "datum"),
-                                  _check_density(rho, "trace"))
-
-    def _contains_out(self, rho0: float, rho: float) -> bool:
-        """:meth:`contains_trace_out` without the domain checks."""
+        rho0, rho = _check_density(rho0, "datum"), _check_density(rho, "trace")
         if abs(rho - rho0) <= BOUNDARY_EPS:
             return True
         if rho0 >= self.sigma:
-            return self._tau(rho0) - rho > BOUNDARY_EPS
+            return self.tau(rho0) - rho > BOUNDARY_EPS
         return rho <= self.sigma + BOUNDARY_EPS
 
 

@@ -104,10 +104,9 @@ class TraceSolution:
         state = RiemannState(topo, values)
         gamma = tuple(float(model._value(r)) for r in state.rho)
         balanced = abs(flux_imbalance(topo, gamma)) <= BALANCE_TOL
-        # both states' densities are checked, so the unchecked membership rules apply
         ok = all(
-            model._contains_in(initial.rho[l], state.rho[l]) if l < topo.n
-            else model._contains_out(initial.rho[l], state.rho[l])
+            model.contains_trace_in(initial.rho[l], state.rho[l]) if l < topo.n
+            else model.contains_trace_out(initial.rho[l], state.rho[l])
             for l in range(topo.total))
         return TraceSolution(state, gamma, balanced, ok)
 
@@ -136,8 +135,7 @@ def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    f0 = model._value(rho0)
-    return _trace_from_flux(model, rho0, f0, model._demand(rho0, f0), gamma, True)
+    return _trace_from_flux(model, rho0, model.demand(rho0), gamma, True)
 
 
 def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
@@ -147,18 +145,17 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     branch, and ``gamma`` must lie in the supply interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    f0 = model._value(rho0)
-    return _trace_from_flux(model, rho0, f0, model._supply(rho0, f0), gamma, False)
+    return _trace_from_flux(model, rho0, model.supply(rho0), gamma, False)
 
 
-def _trace_from_flux(model: FluxModel, rho0: float, f0: float, cap: FluxInterval,
-                     gamma: float, incoming: bool) -> float:
+def _trace_from_flux(model: FluxModel, rho0: float, cap: FluxInterval, gamma: float,
+                     incoming: bool) -> float:
     """:func:`trace_in_from_flux` (``incoming``) or :func:`trace_out_from_flux` for a
-    checked datum ``rho0`` whose flux ``f0`` and demand or supply ``cap`` are known."""
+    checked datum ``rho0`` whose demand or supply ``cap`` is known."""
     if not cap.contains(gamma):
         side = "demand of incoming" if incoming else "supply of outgoing"
         raise InadmissibleFluxError(f"flux {gamma!r} outside {side} datum {rho0!r}")
-    if abs(f0 - gamma) <= KEEP_TOL:
+    if abs(model._value(rho0) - gamma) <= KEEP_TOL:
         return rho0
     if model.f_max - gamma <= KEEP_TOL:
         return model.sigma

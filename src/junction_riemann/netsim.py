@@ -234,13 +234,11 @@ def _checked_dt(config: SimConfig, grids: Sequence[ArcGrid],
 
 
 def step(grids: Sequence[ArcGrid], config: SimConfig,
-         node_solver: SolverFn | None = None,
          dt: float | None = None) -> StepResult:
     """Advance every arc by one Godunov step, coupling them through the node solver."""
     arcs = _FlatArcs(config.flux, grids)
     dt = _checked_dt(config, grids, dt)
-    solver = node_solver if node_solver is not None else config.solver
-    node, inflow, outflow = arcs.advance(solver, dt)
+    node, inflow, outflow = arcs.advance(config.solver, dt)
     arcs.close()
     return StepResult(arcs.grids(), dt, node, inflow, outflow)
 

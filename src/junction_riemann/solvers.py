@@ -40,8 +40,8 @@ from .junction import NodeTopology, RiemannState, TraceSolution, _trace_from_flu
 from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_COST_TOL, LP_MATCH_TOL,
                          LP_PIVOT_TOL, RANK_TOL, SIGMA_TIE, SUM_TO_ONE_SLACK)
 
-#: subsets per stacked rank test in :func:`matrix_in_n`. A 10x10 node has up to
-#: C(20, 9) = 167 960 subsets of one size; in chunks, each test holds about 4 MB.
+#: subsets per stacked rank test in :func:`matrix_in_n`. A 10x10 node has
+#: C(20, 9) = 167 960 subsets to test; in chunks, each test holds about 4 MB.
 _RANK_CHUNK = 4096
 
 
@@ -146,7 +146,9 @@ def matrix_in_n(matrix: DistributionMatrix, topology: NodeTopology | None = None
 
     The test: for every nonempty tuple of at most n-1 vectors drawn from the n
     coordinate directions and the m matrix rows, the all-ones vector must stay
-    outside their span. Always false when n > m (the m rows alone sum to 1).
+    outside their span. A smaller tuple spans a subspace of any (n-1)-tuple that
+    contains it, so only the (n-1)-tuples are tested. Always false when n > m (the
+    m rows alone sum to 1), always true when n == 1.
     """
     if topology is not None:
         _check_matrix_shape(matrix, topology)
@@ -159,15 +161,14 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...]) -> bool:
     if n > m:
         return False
     normals = np.vstack([np.eye(n), np.asarray(rows, dtype=float)])
-    for size in range(1, n):
-        # the size-subsets in chunks: one stacked rank test each, without and with ones
-        subsets = itertools.combinations(range(n + m), size)
-        while chunk := list(itertools.islice(subsets, _RANK_CHUNK)):
-            V = normals[np.array(chunk)]
-            with_ones = np.concatenate([V, np.ones((len(V), 1, n))], axis=1)
-            if (np.linalg.matrix_rank(V, tol=RANK_TOL)
-                    == np.linalg.matrix_rank(with_ones, tol=RANK_TOL)).any():
-                return False
+    # the (n-1)-subsets in chunks: one stacked rank test each, without and with ones
+    subsets = itertools.combinations(range(n + m), n - 1) if n > 1 else ()
+    while chunk := list(itertools.islice(subsets, _RANK_CHUNK)):
+        V = normals[np.array(chunk)]
+        with_ones = np.concatenate([V, np.ones((len(V), 1, n))], axis=1)
+        if (np.linalg.matrix_rank(V, tol=RANK_TOL)
+                == np.linalg.matrix_rank(with_ones, tol=RANK_TOL)).any():
+            return False
     return True
 
 
@@ -309,11 +310,13 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
     c = [float(x) for x in caps]
     if len(t) != len(c) or not t:
         raise InputError("target and caps must be equal-length, nonempty vectors")
-    if any(x < -CAP_SLACK for x in c):
+    if not all(math.isfinite(x) for x in t):
+        raise InputError("target must be finite")
+    if not all(x >= -CAP_SLACK for x in c):  # NaN fails too
         raise InadmissibleFluxError("caps must be nonnegative")
     c = [x if x > 0.0 else 0.0 for x in c]
     cap_sum = sum(c)
-    if total < -FLUX_SLACK or total > cap_sum + FLUX_SLACK:
+    if not -FLUX_SLACK <= total <= cap_sum + FLUX_SLACK:  # NaN fails too
         raise InadmissibleFluxError(
             f"total {total!r} outside the feasible range [0, {cap_sum!r}]")
     total = min(max(total, 0.0), cap_sum)
@@ -335,24 +338,19 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
 
 # -- solvers ---------------------------------------------------------------------------
 
-def _caps(model: FluxModel,
-          initial: RiemannState) -> tuple[list[FluxInterval], list[float]]:
-    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order, and
-    the flux of each datum, computed once; the state's densities are checked."""
+def _caps(model: FluxModel, initial: RiemannState) -> list[FluxInterval]:
+    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order."""
     n = initial.topology.n
-    flows = [model._value(r) for r in initial.rho]
-    caps = [model._demand(r, f) if l < n else model._supply(r, f)
-            for l, (r, f) in enumerate(zip(initial.rho, flows))]
-    return caps, flows
+    return [model.demand(r) if l < n else model.supply(r)
+            for l, r in enumerate(initial.rho)]
 
 
 def _solution(model: FluxModel, initial: RiemannState, caps: Sequence[FluxInterval],
-              flows: Sequence[float], gamma: Sequence[float]) -> TraceSolution:
-    """The solution whose arc fluxes are ``gamma``, each inside its arc's ``caps``;
-    ``flows`` are the data's fluxes."""
+              gamma: Sequence[float]) -> TraceSolution:
+    """The solution whose arc fluxes are ``gamma``, each inside its arc's ``caps``."""
     n = initial.topology.n
-    traces = [_trace_from_flux(model, r, f, c, g, l < n)
-              for l, (r, f, c, g) in enumerate(zip(initial.rho, flows, caps, gamma))]
+    traces = [_trace_from_flux(model, r, c, g, l < n)
+              for l, (r, c, g) in enumerate(zip(initial.rho, caps, gamma))]
     return TraceSolution.from_traces(model, initial, traces)
 
 
@@ -372,12 +370,12 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     if not matrix_in_n(matrix, topo):
         raise InvalidMatrixError(
             "matrix outside the uniqueness class (no unique flux maximizer)")
-    caps, flows = _caps(model, initial)
+    caps = _caps(model, initial)
     g_in = lp_maximize_box_polytope([c.sup for c in caps[:topo.n]],
                                     [c.sup for c in caps[topo.n:]], matrix)
     g_out = [min(sum([a * g for a, g in zip(row, g_in)]), cap.sup)
              for row, cap in zip(matrix.rows, caps[topo.n:])]
-    return _solution(model, initial, caps, flows, [*g_in, *g_out])
+    return _solution(model, initial, caps, [*g_in, *g_out])
 
 
 def rs2_solve(model: FluxModel, theta: ThetaWeights,
@@ -394,7 +392,7 @@ def rs2_solve(model: FluxModel, theta: ThetaWeights,
         raise TopologyError(
             f"weights are {len(theta.incoming)}+{len(theta.outgoing)}, "
             f"node is {topo.n}x{topo.m}")
-    caps, flows = _caps(model, initial)
+    caps = _caps(model, initial)
     caps_in = [c.sup for c in caps[:topo.n]]
     caps_out = [c.sup for c in caps[topo.n:]]
     through = min(sum(caps_in), sum(caps_out))
@@ -402,7 +400,7 @@ def rs2_solve(model: FluxModel, theta: ThetaWeights,
                                   caps_in, through)
     g_out = project_capped_simplex([through * w for w in theta.outgoing],
                                    caps_out, through)
-    return _solution(model, initial, caps, flows, [*g_in, *g_out])
+    return _solution(model, initial, caps, [*g_in, *g_out])
 
 
 def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
@@ -412,20 +410,20 @@ def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
     _check_arcs("rs3", topo)
     if len(theta.incoming) != topo.n:
         raise TopologyError("incoming weight count does not match the topology")
-    caps, flows = _caps(model, initial)
+    caps = _caps(model, initial)
     line_caps = [min(caps[i].sup, caps[topo.n + i].sup) for i in range(topo.n)]
     total = min(sum(line_caps), cap.gamma_j)
     g = project_capped_simplex([total * w for w in theta.incoming], line_caps, total)
-    return _solution(model, initial, caps, flows, [*g, *g])
+    return _solution(model, initial, caps, [*g, *g])
 
 
 def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     """The unique entropy solver for one incoming and one outgoing arc."""
     topo = initial.topology
     _check_arcs("rs_1x1", topo, 1, 1)
-    caps, flows = _caps(model, initial)
+    caps = _caps(model, initial)
     g = min(caps[0].sup, caps[1].sup)
-    return _solution(model, initial, caps, flows, [g, g])
+    return _solution(model, initial, caps, [g, g])
 
 
 def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:

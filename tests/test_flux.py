@@ -17,6 +17,8 @@ from junction_riemann import (
     FluxModel,
     InfeasibleFluxError,
     InputError,
+    NodeTopology,
+    RiemannState,
 )
 from oracles import bisect_flux_inverse
 
@@ -137,11 +139,28 @@ def test_out_of_range_density_rejected(quad):
         quad(np.array([0.2, 1.2]))
     with pytest.raises(DomainError):
         quad.tau(1.5)
+    with pytest.raises(DomainError):
+        quad.tau(math.nan)
+    with pytest.raises(DomainError):
+        quad.contains_trace_in(0.5, math.nan)
 
 
 def test_tiny_excursions_are_clamped(quad):
-    assert quad(1.0 + 1e-13) == 0.0
-    assert quad(-1e-13) == 0.0
+    lo, hi = -1e-13, 1.0 + 1e-13
+    assert quad(hi) == 0.0
+    assert quad(lo) == 0.0
+    # past the in-range early return of the density check, every method clamps
+    assert quad.tau(lo) == 1.0 and quad.tau(hi) == 0.0
+    assert quad.demand(lo).sup == 0.0 and quad.demand(hi).sup == quad.f_max
+    assert quad.supply(lo).sup == quad.f_max and quad.supply(hi).sup == 0.0
+    for contains in (quad.contains_trace_in, quad.contains_trace_out):
+        assert contains(lo, 0.0) and contains(0.0, lo)
+        assert contains(hi, 1.0) and contains(1.0, hi)
+    assert not quad.contains_trace_in(lo, hi) and quad.contains_trace_in(hi, 0.5)
+    assert not quad.contains_trace_out(hi, lo) and quad.contains_trace_out(lo, 0.5)
+    state = RiemannState(NodeTopology(1, 1), (lo, hi))
+    assert state.rho == (0.0, 1.0)
+    assert all(type(r) is float for r in state.rho)
 
 
 # -- the mirror map tau -------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_matrix_in_n_matches_span_oracle():
     matrices = [MATRIX_2X2, A_DOUBLED,
                 DistributionMatrix.from_rows([[0.4, 0.3, 0.45], [0.6, 0.7, 0.55]]),
                 DistributionMatrix.from_rows(wide_doubled)]
-    for n, m in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)):
+    for n, m in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6)):
         for k in range(8):
             a = rng.uniform(0.1, 1.0, (m, n))
             if k % 4 == 0:
@@ -373,6 +373,16 @@ def test_projection_infeasible_total():
         project_capped_simplex((0.5, 0.5), (0.5, 0.5), 1.5)
     with pytest.raises(InadmissibleFluxError):
         project_capped_simplex((0.5, 0.5), (0.5, 0.5), -0.5)
+
+
+def test_projection_rejects_nan_and_non_finite_input():
+    with pytest.raises(InadmissibleFluxError):
+        project_capped_simplex((0.5, 0.5), (math.nan, 0.5), 0.5)
+    with pytest.raises(InadmissibleFluxError):
+        project_capped_simplex((0.5, 0.5), (0.5, 0.5), math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            project_capped_simplex((bad, 0.5), (0.5, 0.5), 0.5)
 
 
 def test_projection_matches_kkt_oracle():
