@@ -37,6 +37,8 @@ from .tolerances import REPRODUCE_TIGHT_TOL, REPRODUCE_TOL
 #: the most cells ``simulate`` builds from uniform (scalar) profiles, summed over the
 #: arcs: a step keeps a few float arrays of this length, about 80 MB each.
 MAX_CELLS = 10_000_000
+#: the most face points ``entropy`` samples; the sampler makes up to 500 tries for each.
+MAX_FACE_SAMPLES = 10_000
 
 
 def format_float(x: float) -> str:
@@ -203,10 +205,15 @@ def cmd_entropy(args) -> int:
         face = doc["face"]
         if not isinstance(face, dict) or "A" not in face or "H" not in face:
             raise InputError("the 'face' block needs 'A' and 'H'")
+        H, samples = face["H"], face.get("samples", 100)
+        if not isinstance(H, list) or not all(_is_int(l) for l in H):
+            raise InputError(f"face 'H' must be a list of arc indices, got {H!r}")
+        if not (_is_int(samples) and 1 <= samples <= MAX_FACE_SAMPLES):
+            raise InputError(f"face 'samples' must be an integer in "
+                             f"[1, {MAX_FACE_SAMPLES}], got {samples!r}")
         sample = face_objective_equivalence(
-            model, state, DistributionMatrix.from_rows(face["A"]),
-            [int(l) for l in face["H"]],
-            samples=int(face.get("samples", 100)), rng=default_rng())
+            model, state, DistributionMatrix.from_rows(face["A"]), H,
+            samples=samples, rng=default_rng())
         payload["face"] = {
             "active": sorted(sample.active),
             "face_nonempty": sample.face_nonempty,
@@ -227,6 +234,11 @@ def cmd_classify(args) -> int:
     emit(args, verdict.to_json(), ["bad_count", "row", "admissible", "permutation"],
          row)
     return 0
+
+
+def _is_int(value) -> bool:
+    """Whether a document value is a JSON integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, what: str) -> float:

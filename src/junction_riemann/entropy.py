@@ -24,15 +24,17 @@ flux by a constant on each face.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (FaceMismatchError, InvalidMatrixError, TopologyError,
-                     UnbalancedStateError)
+from .errors import (FaceMismatchError, InputError, InvalidMatrixError,
+                     TopologyError, UnbalancedStateError)
 from .flux import FluxModel, _check_density
-from .junction import NodeTopology, RiemannState, flux_imbalance
+from .junction import NodeTopology, RiemannState
 from .sampling import default_rng
 from .solvers import (DistributionMatrix, _caps, _check_matrix_shape, _solution,
                       matrix_in_n)
@@ -48,19 +50,36 @@ def entropy_flux(model: FluxModel, state: RiemannState, k: float) -> float:
 
 def _trace_fluxes(model: FluxModel, state: RiemannState) -> list[float]:
     """f(rho_l) on every arc; the densities were checked by RiemannState."""
-    return [float(model._value(r)) for r in state.rho]
+    value = model._value
+    return [float(value(r)) for r in state.rho]
+
+
+def _sides(state: RiemannState, fr: Sequence[float]):
+    """Every arc's (density, flux) pair, then those of the incoming and of the
+    outgoing arcs."""
+    pairs = list(zip(state.rho, fr))
+    n = state.topology.n
+    return pairs, pairs[:n], pairs[n:]
+
+
+def _entropy_sum(ins, outs, k: float, fk: float) -> float:
+    """F(rho, k) in arc order from each side's (density, flux) pairs and fk = f(k);
+    fk - f is -(f - fk) exactly, and an arc at k would add a zero."""
+    total = 0.0
+    for r, f in ins:
+        if r != k:
+            total += f - fk if r > k else fk - f
+    for r, f in outs:
+        if r != k:
+            total += fk - f if r > k else f - fk
+    return total
 
 
 def _entropy_at(model: FluxModel, state: RiemannState, fr: Sequence[float],
                 k: float) -> float:
     """F(rho, k) from the trace fluxes ``fr``, for a k already in [0, 1]."""
-    fk = float(model._value(k))
-    total = 0.0
-    n = state.topology.n
-    for l, (r, f) in enumerate(zip(state.rho, fr)):
-        term = ((r > k) - (r < k)) * (f - fk)
-        total += term if l < n else -term
-    return total
+    _, ins, outs = _sides(state, fr)
+    return _entropy_sum(ins, outs, k, float(model._value(k)))
 
 
 def entropy_candidates(model: FluxModel,
@@ -71,8 +90,21 @@ def entropy_candidates(model: FluxModel,
 
 def _candidates(model: FluxModel, state: RiemannState,
                 fr: Sequence[float]) -> tuple[tuple[float, float], ...]:
-    ks = sorted({0.0, 1.0, model.sigma, *state.rho})
-    return tuple((k, _entropy_at(model, state, fr, k)) for k in ks)
+    pairs, ins, outs = _sides(state, fr)
+    # f(k) at a trace density is that trace's flux; -0.0 may stand for 0.0 there,
+    # which changes only the sign of zero terms, never the sum
+    known = dict(pairs)
+    value = model._value
+    return tuple([(k, _entropy_sum(ins, outs, k,
+                                   known[k] if k in known else float(value(k))))
+                  for k in sorted({0.0, 1.0, model.sigma, *state.rho})])
+
+
+def _check_tolerance(tol: float, what: str) -> None:
+    """A verdict threshold must be a finite number >= 0: NaN or a negative one fails
+    every state, an infinite one passes every state."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"{what} {tol!r} must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,7 +132,8 @@ class EntropyReport:
 def _require_balanced(model: FluxModel, state: RiemannState) -> list[float]:
     """The trace fluxes f(rho_l), after checking that they balance."""
     gamma = _trace_fluxes(model, state)
-    gap = flux_imbalance(state.topology, gamma)
+    n = state.topology.n
+    gap = sum(gamma[:n]) - sum(gamma[n:])
     if abs(gap) > BALANCE_TOL:
         raise UnbalancedStateError(f"trace fluxes do not balance (gap {gap!r})")
     return gamma
@@ -108,9 +141,13 @@ def _require_balanced(model: FluxModel, state: RiemannState) -> list[float]:
 
 def check_E1(model: FluxModel, state: RiemannState,
              tol: float = ENTROPY_TOL) -> EntropyReport:
-    """Evaluate the global entropy condition via the finite candidate set."""
+    """Evaluate the global entropy condition via the finite candidate set.
+
+    ``tol`` must be finite and >= 0 (InputError otherwise).
+    """
+    _check_tolerance(tol, "entropy tolerance")
     candidates = _candidates(model, state, _require_balanced(model, state))
-    argmin_k, min_value = min(candidates, key=lambda kv: kv[1])
+    argmin_k, min_value = min(candidates, key=itemgetter(1))
     at_sigma = dict(candidates)[model.sigma]
     return EntropyReport(min_value=min_value, argmin_k=argmin_k,
                          candidates=candidates, satisfied_E1=min_value >= -tol,
@@ -160,48 +197,46 @@ def classify_2x2(model: FluxModel, state: RiemannState,
 
     An incoming trace is *bad* when it is strictly below sigma, an outgoing one when
     strictly above (a trace at sigma is good in both directions). Each side is sorted
-    ascending before matching, and the applied permutation is reported.
+    ascending before matching (equal traces keep arc order), and the applied permutation
+    is reported. ``eq_tol`` must be finite and >= 0 (InputError otherwise).
     """
     topo = state.topology
     if (topo.n, topo.m) != (2, 2):
         raise TopologyError(f"classification needs a 2x2 node, got {topo.n}x{topo.m}")
+    _check_tolerance(eq_tol, "classification tolerance")
     fr = _require_balanced(model, state)
     s = model.sigma
-    order_in = sorted((0, 1), key=lambda i: state.rho[i])
-    order_out = sorted((2, 3), key=lambda j: state.rho[j])
-    perm = (*order_in, *order_out)
-    r1, r2, r3, r4 = (state.rho[i] for i in perm)
+    rho = state.rho
+    # a stable sort of two: the pair keeps its order unless the second is smaller
+    perm = ((0, 1) if rho[0] <= rho[1] else (1, 0)) + \
+        ((2, 3) if rho[2] <= rho[3] else (3, 2))
+    r1, r2, r3, r4 = [rho[i] for i in perm]
     bad = [r1 < s - SIGMA_TIE, r2 < s - SIGMA_TIE,
            r3 > s + SIGMA_TIE, r4 > s + SIGMA_TIE]
     count = sum(bad)
 
-    def le(a: float, b: float) -> bool:
-        return a <= b + eq_tol
-
-    def eq(a: float, b: float) -> bool:
-        return abs(a - b) <= eq_tol
-
-    fv = [fr[i] for i in perm]
+    # the table's comparisons: a <= b is a <= b + eq_tol, a == b is |a - b| <= eq_tol
     row, ok = "none", False
     if count == 0:
-        if all(eq(r, s) for r in (r1, r2, r3, r4)):
+        if all(abs(r - s) <= eq_tol for r in (r1, r2, r3, r4)):
             row, ok = "0-bad", True
     elif count == 1:
-        if bad[0] and eq(r2, s) and le(r1, r3):
+        if bad[0] and abs(r2 - s) <= eq_tol and r1 <= r3 + eq_tol:
             row, ok = "1-bad-incoming", True
-        elif bad[3] and eq(r3, s) and le(r2, r4):
+        elif bad[3] and abs(r3 - s) <= eq_tol and r2 <= r4 + eq_tol:
             row, ok = "1-bad-outgoing", True
     elif count == 2:
-        if bad[0] and bad[1] and le(r1, r3) and le(r4, r2):
+        if bad[0] and bad[1] and r1 <= r3 + eq_tol and r4 <= r2 + eq_tol:
             row, ok = "2-bad-incoming", True
-        elif bad[2] and bad[3] and le(r3, r1) and le(r2, r4):
+        elif bad[2] and bad[3] and r3 <= r1 + eq_tol and r2 <= r4 + eq_tol:
             row, ok = "2-bad-outgoing", True
-        elif bad[0] and bad[3] and le(r1, r3) and le(r2, r4):
+        elif bad[0] and bad[3] and r1 <= r3 + eq_tol and r2 <= r4 + eq_tol:
             row, ok = "2-bad-mixed", True
     elif count == 3:
-        if not bad[1] and le(r2, r4) and fv[0] <= max(fv[1], fv[2]) + eq_tol:
+        fv = [fr[i] for i in perm]
+        if not bad[1] and r2 <= r4 + eq_tol and fv[0] <= max(fv[1], fv[2]) + eq_tol:
             row, ok = "3-bad-good-incoming", True
-        elif not bad[2] and le(r1, r3) and fv[3] <= max(fv[1], fv[2]) + eq_tol:
+        elif not bad[2] and r1 <= r3 + eq_tol and fv[3] <= max(fv[1], fv[2]) + eq_tol:
             row, ok = "3-bad-good-outgoing", True
     else:
         row, ok = "4-bad", True

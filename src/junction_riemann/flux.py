@@ -14,6 +14,9 @@ orientations, and exact inversion on either monotone branch.
 The scalar path uses no numpy: a float density is evaluated in plain Python, and the
 tabulated flux and its inverses use an exact one-point interpolation with
 ``np.interp``'s arithmetic, so their scalar values equal ``np.interp``'s bit for bit.
+A tabulated model builds both branch inverse tables once, when it is constructed, and
+keeps them out of ``to_json``; ``invert`` clamps with comparisons, which return the
+same objects as ``min``/``max`` would.
 Every method checks its densities, and the private ``_value`` is the one unchecked
 kernel: the Godunov step runs it in place on whole arrays, and code holding densities
 already checked (those of a ``RiemannState``) calls it directly. The check returns at
@@ -130,7 +133,10 @@ class FluxModel:
             raise InputError("tabulated flux must be strictly increasing before its peak")
         if any(ys[i] <= ys[i + 1] for i in range(peak, len(ys) - 1)):
             raise InputError("tabulated flux must be strictly decreasing after its peak")
-        return FluxModel("tabulated", {"rho": xs, "flux": ys, "peak": peak},
+        # each branch's inverse table (flux samples ascending, their densities)
+        inverses = {INCREASING: (ys[:peak + 1], xs[:peak + 1]),
+                    DECREASING: (ys[peak:][::-1], xs[peak:][::-1])}
+        return FluxModel("tabulated", {"rho": xs, "flux": ys, "peak": peak, **inverses},
                          sigma=xs[peak], f_max=ys[peak])
 
     @staticmethod
@@ -176,7 +182,8 @@ class FluxModel:
         raise InputError(f"unknown flux kind {kind!r}")
 
     def to_json(self) -> dict:
-        params = {k: v for k, v in self.params.items() if k != "peak"}
+        params = {k: v for k, v in self.params.items()
+                  if k not in ("peak", INCREASING, DECREASING)}
         params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
         return {"kind": self.kind, "params": params}
 
@@ -248,23 +255,18 @@ class FluxModel:
                 or gamma > self.f_max + FLUX_SLACK:
             raise InfeasibleFluxError(
                 f"flux {gamma!r} outside [0, f_max={self.f_max!r}]")
-        gamma = min(max(gamma, 0.0), self.f_max)
+        gamma = 0.0 if gamma < 0.0 else self.f_max if gamma > self.f_max else gamma
+        inc = branch == INCREASING
         if self.kind == "quadratic":
             d = math.sqrt(max(0.0, 1.0 - gamma / self.f_max))
-            rho = 0.5 * (1.0 - d) if branch == INCREASING else 0.5 * (1.0 + d)
+            rho = 0.5 * (1.0 - d) if inc else 0.5 * (1.0 + d)
         elif self.kind == "triangular":
             s, fm = self.params["sigma"], self.params["f_max"]
-            rho = gamma * s / fm if branch == INCREASING \
-                else RHO_MAX - gamma * (RHO_MAX - s) / fm
+            rho = gamma * s / fm if inc else RHO_MAX - gamma * (RHO_MAX - s) / fm
         else:
-            xs, ys = self.params["rho"], self.params["flux"]
-            peak = self.params["peak"]
-            if branch == INCREASING:
-                rho = _interp(float(gamma), ys[:peak + 1], xs[:peak + 1])
-            else:
-                rho = _interp(float(gamma), ys[peak:][::-1], xs[peak:][::-1])
-        lo, hi = (0.0, self.sigma) if branch == INCREASING else (self.sigma, RHO_MAX)
-        return min(max(rho, lo), hi)
+            rho = _interp(float(gamma), *self.params[branch])
+        lo, hi = (0.0, self.sigma) if inc else (self.sigma, RHO_MAX)
+        return lo if rho < lo else hi if rho > hi else rho
 
     def tau(self, rho: float) -> float:
         """The density on the other branch with the same flux; tau(sigma) = sigma."""

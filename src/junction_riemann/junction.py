@@ -56,7 +56,7 @@ class RiemannState:
         if len(self.rho) != self.topology.total:
             raise InputError(
                 f"expected {self.topology.total} densities, got {len(self.rho)}")
-        clean = tuple(float(_check_density(r)) for r in self.rho)
+        clean = tuple([float(_check_density(r)) for r in self.rho])
         object.__setattr__(self, "rho", clean)
 
     @property
@@ -102,12 +102,13 @@ class TraceSolution:
         topo = initial.topology
         values = traces.rho if isinstance(traces, RiemannState) else tuple(traces)
         state = RiemannState(topo, values)
-        gamma = tuple(float(model._value(r)) for r in state.rho)
-        balanced = abs(flux_imbalance(topo, gamma)) <= BALANCE_TOL
-        ok = all(
-            model.contains_trace_in(initial.rho[l], state.rho[l]) if l < topo.n
-            else model.contains_trace_out(initial.rho[l], state.rho[l])
-            for l in range(topo.total))
+        value = model._value
+        gamma = tuple([float(value(r)) for r in state.rho])
+        n = topo.n
+        balanced = abs(sum(gamma[:n]) - sum(gamma[n:])) <= BALANCE_TOL
+        rho0, rho = initial.rho, state.rho
+        ok = all(map(model.contains_trace_in, rho0[:n], rho[:n])) \
+            and all(map(model.contains_trace_out, rho0[n:], rho[n:]))
         return TraceSolution(state, gamma, balanced, ok)
 
     def to_json(self) -> dict:

@@ -3,7 +3,8 @@
 All are absolute (densities and fluxes are of order one) except the relative
 ``CFL_SLACK``. The public names stay importable where they were first defined, such
 as ``flux.BOUNDARY_EPS``; only ``check_E1(tol)`` and ``classify_2x2(eq_tol)`` take a
-threshold as an argument, which the CLI's ``--tolerance`` sets.
+threshold as an argument, which the CLI's ``--tolerance`` sets; both reject a
+threshold that is not finite and >= 0.
 """
 
 # -- slack: input this far outside its range is rounding error, and is clamped --------

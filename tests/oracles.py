@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import struct
 
 import numpy as np
 
@@ -76,6 +78,112 @@ def entropy_flux_grid(model, n: int, rho: np.ndarray, k_points: int = 100_001):
         mins[i] = acc[idx]
         args[i] = k[idx]
     return mins, args
+
+
+def bits(value):
+    """``value`` with every float replaced by (its type, its IEEE-754 bytes) and every
+    other leaf by (its type, itself), so that == tells -0.0 from 0.0 and True from 1."""
+    if isinstance(value, float):
+        return type(value), struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return type(value), [bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    return type(value), value
+
+
+def invert_reference(model, gamma: float, branch: str) -> float:
+    """Branch inverse of a flux in plain arithmetic: the flux clamped into
+    [0, f_max] and the density into its branch with ``min``/``max``, a tabulated
+    flux inverted by ``np.interp`` on tables sliced at the peak sample."""
+    gamma = min(max(gamma, 0.0), model.f_max)
+    inc = branch == "increasing"
+    p = model.params
+    if model.kind == "quadratic":
+        d = math.sqrt(max(0.0, 1.0 - gamma / model.f_max))
+        rho = 0.5 * (1.0 - d) if inc else 0.5 * (1.0 + d)
+    elif model.kind == "triangular":
+        s, fm = p["sigma"], p["f_max"]
+        rho = gamma * s / fm if inc else 1.0 - gamma * (1.0 - s) / fm
+    else:
+        xs, ys = list(p["rho"]), list(p["flux"])
+        peak = ys.index(max(ys))
+        if inc:
+            rho = float(np.interp(float(gamma), ys[:peak + 1], xs[:peak + 1]))
+        else:
+            rho = float(np.interp(float(gamma), ys[peak:][::-1], xs[peak:][::-1]))
+    lo, hi = (0.0, model.sigma) if inc else (model.sigma, 1.0)
+    return min(max(rho, lo), hi)
+
+
+def tau_reference(model, rho: float) -> float:
+    """The mirror density: closed forms for quadratic and triangular fluxes, else the
+    inverse of f(rho) on the other branch. ``rho`` is clamped into [0, 1] first."""
+    rho = min(max(rho, 0.0), 1.0)
+    if model.kind == "quadratic":
+        return 1.0 - rho
+    if model.kind == "triangular":
+        s = model.sigma
+        return 1.0 - (1.0 - s) * rho / s if rho <= s else s * (1.0 - rho) / (1.0 - s)
+    branch = "decreasing" if rho <= model.sigma else "increasing"
+    return invert_reference(model, float(model.value(rho)), branch)
+
+
+def entropy_flux_reference(model, state, k: float) -> float:
+    """F(rho, k) term by term through the public flux, in the summation order of
+    the definition: sgn(rho_l - k) (f(rho_l) - f(k)), outgoing terms negated."""
+    fk = float(model.value(k))
+    total = 0.0
+    for l, r in enumerate(state.rho):
+        term = ((r > k) - (r < k)) * (float(model.value(r)) - fk)
+        total += term if l < state.topology.n else -term
+    return total
+
+
+def check_E1_reference(model, state, tol: float) -> tuple:
+    """(candidates, min_value, argmin_k, value_at_sigma) of (E1) on the candidate set
+    {0, 1, sigma} union {rho_l}, with F and f(k) recomputed for every candidate; the
+    first candidate of least value is the minimum. No balance check."""
+    candidates = tuple((k, entropy_flux_reference(model, state, k))
+                       for k in sorted({0.0, 1.0, model.sigma, *state.rho}))
+    argmin_k, min_value = min(candidates, key=lambda kv: kv[1])
+    at_sigma = dict(candidates)[model.sigma]
+    return (candidates, min_value, argmin_k, min_value >= -tol, at_sigma,
+            at_sigma >= -tol)
+
+
+def classify_2x2_reference(model, state, eq_tol: float, sigma_tie: float) -> tuple:
+    """(bad_count, permutation, row, admissible) of the 2x2 table, each side sorted by
+    ``sorted(..., key=density)`` (stable, so ties keep arc order). No balance check."""
+    rho = state.rho
+    s = model.sigma
+    perm = (*sorted((0, 1), key=lambda i: rho[i]), *sorted((2, 3), key=lambda j: rho[j]))
+    r1, r2, r3, r4 = (rho[i] for i in perm)
+    f1, f2, f3, f4 = (float(model.value(rho[i])) for i in perm)
+    bad = [r1 < s - sigma_tie, r2 < s - sigma_tie, r3 > s + sigma_tie, r4 > s + sigma_tie]
+
+    def le(a, b):
+        return a <= b + eq_tol
+
+    def eq(a, b):
+        return abs(a - b) <= eq_tol
+
+    count = sum(bad)
+    table = {
+        0: [("0-bad", all(eq(r, s) for r in (r1, r2, r3, r4)))],
+        1: [("1-bad-incoming", bad[0] and eq(r2, s) and le(r1, r3)),
+            ("1-bad-outgoing", bad[3] and eq(r3, s) and le(r2, r4))],
+        2: [("2-bad-incoming", bad[0] and bad[1] and le(r1, r3) and le(r4, r2)),
+            ("2-bad-outgoing", bad[2] and bad[3] and le(r3, r1) and le(r2, r4)),
+            ("2-bad-mixed", bad[0] and bad[3] and le(r1, r3) and le(r2, r4))],
+        3: [("3-bad-good-incoming",
+             not bad[1] and le(r2, r4) and f1 <= max(f2, f3) + eq_tol),
+            ("3-bad-good-outgoing",
+             not bad[2] and le(r1, r3) and f4 <= max(f2, f3) + eq_tol)],
+        4: [("4-bad", True)],
+    }
+    row = next((name for name, holds in table[count] if holds), "none")
+    return count, perm, row, row != "none"
 
 
 def capped_simplex_projection_kkt(target, caps, total, tol: float = 1e-10):

@@ -21,6 +21,7 @@ from junction_riemann import (
     classify_2x2,
     rs1_solve,
 )
+from junction_riemann import cli
 from junction_riemann.cli import eval_expr, format_float, main, resolve_numbers
 
 SQ = math.sqrt
@@ -264,6 +265,19 @@ def test_entropy_tolerance_flag_passed_only_when_given(tmp_path, capsys, monkeyp
     assert calls == [{"tol": 0.3}, {}]
 
 
+TIE_DOC = {"state": {"n": 2, "m": 2, "rho": [0.2, 0.2, 0.8, 0.8]}}
+
+
+@pytest.mark.parametrize("command", ["entropy", "classify"])
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf"])
+def test_meaningless_tolerance_exits_1(tmp_path, capsys, command, tolerance):
+    path = write_doc(tmp_path, "d.json", TIE_DOC)
+    assert main([command, "--input", path, f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
 def test_entropy_csv_lists_candidates(tmp_path):
     out = tmp_path / "cands.csv"
     assert main(["entropy", "--input", write_doc(tmp_path, "d.json", RS2_TRACE_DOC),
@@ -298,6 +312,36 @@ def test_entropy_face_block_needs_keys(tmp_path, capsys):
     doc = {"state": RS2_TRACE_DOC["state"], "face": {"H": [0]}}
     assert main(["entropy", "--input", write_doc(tmp_path, "d.json", doc)]) == 1
     capsys.readouterr()
+
+
+FACE_A = [[{"expr": "1/3"}, {"expr": "1/2"}], [{"expr": "2/3"}, {"expr": "1/2"}]]
+
+
+@pytest.mark.parametrize("change", [
+    {"samples": "abc"}, {"samples": 0}, {"samples": -3}, {"samples": True},
+    {"samples": 2.0}, {"samples": 10_001}, {"H": ["x"]}, {"H": [1.7]}, {"H": [True]},
+    {"H": 1}, {"H": "1"},
+], ids=["samples_text", "samples_zero", "samples_negative", "samples_bool",
+        "samples_float", "samples_too_many", "H_text", "H_float", "H_bool",
+        "H_not_list", "H_string"])
+def test_entropy_malformed_face_block_exits_1(tmp_path, capsys, change):
+    face = dict({"A": FACE_A, "H": [1], "samples": 5}, **change)
+    doc = {"state": RS1_DOC["state"], "solver": RS1_DOC["solver"], "face": face}
+    assert main(["entropy", "--input", write_doc(tmp_path, "d.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+def test_entropy_face_block_sample_bounds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("JUNCTION_RIEMANN_SEED", "7")
+    for samples in (1, 5):
+        doc = {"state": RS1_DOC["state"], "solver": RS1_DOC["solver"],
+               "face": {"A": FACE_A, "H": [1], "samples": samples}}
+        assert main(["entropy", "--input", write_doc(tmp_path, "d.json", doc)]) == 0
+        face = json.loads(capsys.readouterr().out)["face"]
+        assert face["face_nonempty"] and face["samples"] == samples
+    assert cli.MAX_FACE_SAMPLES == 10_000
 
 
 # -- classify -----------------------------------------------------------------------------

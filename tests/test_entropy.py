@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from junction_riemann import (
+    DECREASING,
+    INCREASING,
     DistributionMatrix,
     DomainError,
     FaceMismatchError,
+    InputError,
     NodeTopology,
     RS2Solver,
     RiemannState,
@@ -34,9 +37,10 @@ from junction_riemann import (
     trace_in_from_flux,
     trace_out_from_flux,
 )
-from junction_riemann.entropy import ENTROPY_TOL
+from junction_riemann.entropy import CLASSIFY_EQ_TOL, ENTROPY_TOL, SIGMA_TIE
 from junction_riemann.sampling import random_fluxes_with_sum
-from oracles import entropy_flux_grid
+from oracles import (bits, check_E1_reference, classify_2x2_reference,
+                     entropy_flux_grid, entropy_flux_reference)
 
 SQ = math.sqrt
 T22 = NodeTopology(2, 2)
@@ -157,17 +161,6 @@ def test_check_E1_requires_balance(quad):
         check_E1(quad, RiemannState(T22, (0.5, 0.0, 1.0, 1.0)))
 
 
-def _reference_entropy_flux(model, state, k):
-    """F(rho, k) term by term through the public flux, in the summation order of
-    the definition: sgn(rho_l - k) (f(rho_l) - f(k)), outgoing terms negated."""
-    fk = float(model.value(k))
-    total = 0.0
-    for l, r in enumerate(state.rho):
-        term = ((r > k) - (r < k)) * (float(model.value(r)) - fk)
-        total += term if l < state.topology.n else -term
-    return total
-
-
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3)])
 def test_check_E1_is_bit_identical_to_entropy_flux(any_model, n, m):
     topo = NodeTopology(n, m)
@@ -180,11 +173,67 @@ def test_check_E1_is_bit_identical_to_entropy_flux(any_model, n, m):
             sorted({0.0, 1.0, any_model.sigma, *state.rho})
         for k, value in report.candidates:
             assert value == entropy_flux(any_model, state, k)
-            assert value == _reference_entropy_flux(any_model, state, k)
+            assert value == entropy_flux_reference(any_model, state, k)
         assert report.value_at_sigma == entropy_flux(any_model, state, any_model.sigma)
         assert check_E2(any_model, state).value_at_sigma == report.value_at_sigma
         assert (report.argmin_k, report.min_value) == \
             min(report.candidates, key=lambda kv: kv[1])
+
+
+#: densities whose flux is below 1e-12 (or 0), so any mix of them balances.
+NEAR_EMPTY_OR_JAMMED = (0.0, -0.0, 1.0, 1e-13, -1e-13, 1.0 - 1e-13)
+
+
+def _verdict_panel(model, topo, rng):
+    """Balanced states: random ones, ones with one density on each whole side (ties
+    within a side), and ones with every arc near empty or jammed, or at sigma in
+    (incoming, outgoing) pairs."""
+    n, m = topo.n, topo.m
+    branch = (INCREASING, DECREASING)
+    states = [random_balanced_state(rng, model, topo) for _ in range(25)]
+    for _ in range(10):
+        g = float(rng.uniform(0.0, model.f_max * min(1.0, m / n)))
+        a = model.invert(g, branch[rng.integers(2)])
+        b = model.invert(n * g / m, branch[rng.integers(2)])
+        states.append(RiemannState(topo, (a,) * n + (b,) * m))
+    for _ in range(15):
+        rho = [NEAR_EMPTY_OR_JAMMED[i]
+               for i in rng.integers(len(NEAR_EMPTY_OR_JAMMED), size=n + m)]
+        for i in range(int(rng.integers(min(n, m) + 1))):
+            rho[i] = rho[n + i] = model.sigma
+        states.append(RiemannState(topo, tuple(rho)))
+    return states
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2),
+                                 (3, 3), (4, 5)])
+def test_verdicts_are_bit_identical_to_the_plain_reference(any_model, n, m):
+    topo = NodeTopology(n, m)
+    rng = default_rng(7300 + 10 * n + m)
+    for state in _verdict_panel(any_model, topo, rng):
+        for tol in (ENTROPY_TOL, 0.0, 0.3):
+            report = check_E1(any_model, state, tol)
+            got = (report.candidates, report.min_value, report.argmin_k,
+                   report.satisfied_E1, report.value_at_sigma, report.satisfied_E2)
+            assert bits(got) == bits(check_E1_reference(any_model, state, tol))
+        assert bits(entropy_candidates(any_model, state)) == bits(report.candidates)
+        if (n, m) == (2, 2):
+            for eq_tol in (CLASSIFY_EQ_TOL, 0.0, 1e-6, 0.3):
+                v = classify_2x2(any_model, state, eq_tol)
+                want = classify_2x2_reference(any_model, state, eq_tol, SIGMA_TIE)
+                assert bits((v.bad_count, v.permutation, v.row, v.admissible)) == \
+                    bits(want)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0, math.inf, -math.inf])
+def test_meaningless_tolerances_are_rejected(quad, tol):
+    state = RiemannState(T22, (0.2, 0.2, 0.8, 0.8))
+    with pytest.raises(InputError):
+        check_E1(quad, state, tol)
+    with pytest.raises(InputError):
+        classify_2x2(quad, state, tol)
+    assert check_E1(quad, state).satisfied_E1
+    assert classify_2x2(quad, state, 0.0).permutation == (0, 1, 2, 3)
 
 
 def test_unbalanced_states_raise_from_every_check(any_model):

@@ -20,7 +20,7 @@ from junction_riemann import (
     NodeTopology,
     RiemannState,
 )
-from oracles import bisect_flux_inverse
+from oracles import bisect_flux_inverse, bits, invert_reference, tau_reference
 
 densities = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -328,6 +328,35 @@ def test_invert_lands_on_requested_branch(any_model):
     for gamma in np.linspace(0.0, any_model.f_max, 23):
         assert any_model.invert(float(gamma), INCREASING) <= any_model.sigma
         assert any_model.invert(float(gamma), DECREASING) >= any_model.sigma
+
+
+#: a tabulated flux whose peak is off centre and whose branches differ in length.
+SKEWED_TAB = FluxModel.tabulated([0.0, 0.1, 0.3, 0.35, 0.6, 0.8, 1.0],
+                                 [0.0, 0.2, 0.5, 0.7, 0.4, 0.3, 0.0])
+
+
+def test_invert_and_tau_are_bit_identical_to_the_plain_reference(any_model):
+    for model in (any_model, SKEWED_TAB):
+        fm, s = model.f_max, model.sigma
+        gammas = np.linspace(-1e-10, fm + 1e-10, 401).tolist() + [
+            -0.0, 0.0, fm, math.nextafter(fm, 0.0), -1e-9, fm + 1e-9,
+            *model.params.get("flux", ())]
+        for gamma in gammas:
+            for branch in (INCREASING, DECREASING):
+                assert bits(model.invert(gamma, branch)) == \
+                    bits(invert_reference(model, gamma, branch))
+                assert bits(model.invert(np.float64(gamma), branch)) == \
+                    bits(invert_reference(model, np.float64(gamma), branch))
+        rhos = np.linspace(0.0, 1.0, 401).tolist() + [
+            -0.0, 1e-13, -1e-13, 1.0 - 1e-13, 1.0 + 1e-13, s,
+            *model.params.get("rho", ())]
+        for rho in rhos:
+            assert bits(model.tau(rho)) == bits(tau_reference(model, rho))
+
+
+def test_tabulated_branch_tables_stay_out_of_json(tab):
+    assert FluxModel.from_json(tab.to_json()) == tab
+    assert set(tab.to_json()["params"]) == {"rho", "flux"}
 
 
 # -- construction and serialization ---------------------------------------------------
