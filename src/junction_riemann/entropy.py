@@ -34,10 +34,9 @@ import numpy as np
 from .errors import (FaceMismatchError, InputError, InvalidMatrixError,
                      TopologyError, UnbalancedStateError)
 from .flux import FluxModel, _check_density
-from .junction import NodeTopology, RiemannState
+from .junction import NodeTopology, RiemannState, TraceSolution
 from .sampling import default_rng
-from .solvers import (DistributionMatrix, _caps, _check_matrix_shape, _solution,
-                      matrix_in_n)
+from .solvers import DistributionMatrix, _caps, _check_matrix_shape, matrix_in_n
 from .tolerances import (BALANCE_TOL, CLASSIFY_EQ_TOL, ENTROPY_TOL, FACE_MARGIN,
                          FACE_SPREAD_TOL, FACE_TOL, SIGMA_TIE, SINGULAR_TOL)
 
@@ -397,7 +396,7 @@ def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
     gammas, values = [], []
     for g in found:
         gamma = (*g.tolist(), *(A @ g).tolist())
-        traces = _solution(model, initial, intervals, gamma).state
+        traces = TraceSolution.from_fluxes(model, initial, intervals, gamma).state
         g_val = entropy_flux(model, traces, model.sigma)
         e_free = sum(gamma[i] for i in range(n) if i not in H)
         gammas.append(gamma)

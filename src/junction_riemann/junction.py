@@ -105,11 +105,39 @@ class TraceSolution:
         value = model._value
         gamma = tuple([float(value(r)) for r in state.rho])
         n = topo.n
-        balanced = abs(sum(gamma[:n]) - sum(gamma[n:])) <= BALANCE_TOL
         rho0, rho = initial.rho, state.rho
         ok = all(map(model.contains_trace_in, rho0[:n], rho[:n])) \
             and all(map(model.contains_trace_out, rho0[n:], rho[n:]))
-        return TraceSolution(state, gamma, balanced, ok)
+        return TraceSolution(state, gamma, _balanced(n, gamma), ok)
+
+    @staticmethod
+    def from_fluxes(model: FluxModel, initial: RiemannState,
+                    caps: Sequence[FluxInterval],
+                    gamma: Sequence[float]) -> "TraceSolution":
+        """The solution whose arc fluxes are ``gamma``, each inside its arc's demand
+        (incoming) or supply (outgoing) interval ``caps``.
+
+        One pass over the arcs finds each trace as :func:`trace_in_from_flux` or
+        :func:`trace_out_from_flux` does, its flux, and its admissibility. f(datum)
+        is evaluated once per arc and is the flux of a kept trace; the verdicts are
+        those of :meth:`from_traces` on the same traces, bit for bit.
+        """
+        n = initial.topology.n
+        value = model._value
+        traces, fluxes = [], []
+        ok = True
+        for l, (r, cap, g) in enumerate(zip(initial.rho, caps, gamma)):
+            f0 = float(value(r))
+            incoming = l < n
+            trace = _trace_from_flux(model, r, f0, cap, g, incoming)
+            traces.append(trace)
+            fluxes.append(f0 if trace is r else float(value(trace)))
+            if ok:
+                ok = model.contains_trace_in(r, trace) if incoming \
+                    else model.contains_trace_out(r, trace)
+        fluxes = tuple(fluxes)
+        return TraceSolution(RiemannState(initial.topology, tuple(traces)), fluxes,
+                             _balanced(n, fluxes), ok)
 
     def to_json(self) -> dict:
         out = self.state.to_json()
@@ -120,6 +148,11 @@ class TraceSolution:
 
 #: anything that maps a node state to a trace solution, such as a solver handle.
 SolverFn = Callable[[RiemannState], TraceSolution]
+
+
+def _balanced(n: int, gamma: tuple[float, ...]) -> bool:
+    """Whether the first ``n`` fluxes and the rest agree within ``BALANCE_TOL``."""
+    return abs(sum(gamma[:n]) - sum(gamma[n:])) <= BALANCE_TOL
 
 
 def check_flux_balance(solution: TraceSolution) -> bool:
@@ -136,7 +169,8 @@ def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    return _trace_from_flux(model, rho0, model.demand(rho0), gamma, True)
+    return _trace_from_flux(model, rho0, model._value(rho0), model.demand(rho0), gamma,
+                            True)
 
 
 def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
@@ -146,17 +180,19 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     branch, and ``gamma`` must lie in the supply interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    return _trace_from_flux(model, rho0, model.supply(rho0), gamma, False)
+    return _trace_from_flux(model, rho0, model._value(rho0), model.supply(rho0), gamma,
+                            False)
 
 
-def _trace_from_flux(model: FluxModel, rho0: float, cap: FluxInterval, gamma: float,
-                     incoming: bool) -> float:
+def _trace_from_flux(model: FluxModel, rho0: float, f0: float, cap: FluxInterval,
+                     gamma: float, incoming: bool) -> float:
     """:func:`trace_in_from_flux` (``incoming``) or :func:`trace_out_from_flux` for a
-    checked datum ``rho0`` whose demand or supply ``cap`` is known."""
+    checked datum ``rho0`` whose flux ``f0`` and demand or supply ``cap`` are known;
+    a kept datum is returned as the very object ``rho0``."""
     if not cap.contains(gamma):
         side = "demand of incoming" if incoming else "supply of outgoing"
         raise InadmissibleFluxError(f"flux {gamma!r} outside {side} datum {rho0!r}")
-    if abs(model._value(rho0) - gamma) <= KEEP_TOL:
+    if abs(f0 - gamma) <= KEEP_TOL:
         return rho0
     if model.f_max - gamma <= KEEP_TOL:
         return model.sigma

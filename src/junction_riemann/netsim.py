@@ -12,19 +12,25 @@ before the first arc, one between each pair of arcs and one after the last, and
 works on it in place with buffers allocated once per run. Each step evaluates f
 once per cell, forms demand and supply, takes every interface flux with one
 minimum over neighbouring cells, overwrites the two end interfaces of each arc
-with the node and outer fluxes, and updates every cell with its arc's dt / dx.
-A range check (NaN included) and a clip to [0, 1] follow. :func:`step` and
-:func:`run` share this kernel; :class:`ArcGrid` objects are built only for
-snapshots and results.
+with the node and outer fluxes, and updates the whole array with one multiply and
+one subtract: the flux differences times a per-cell dt / dx array, which holds
+each arc's ``dt / dx`` on its cells and exactly 0 on the ghost cells (so they stay
++0.0) and is rebuilt only when dt changes. A range check follows; only when it
+finds a density outside [0, 1] does the domain check run (NaN, or a density beyond
+the slack, raises DomainError) and the array get clipped, since the clip is the
+identity, -0.0 included, on densities inside [0, 1]. :func:`step` and :func:`run`
+share this kernel; :class:`ArcGrid` objects are built only for snapshots and
+results, each with one copy of its densities.
 
 Mass bookkeeping: every step appends (t, total_mass, boundary_in, boundary_out) to a
 ledger, where the boundary columns are cumulative time-integrated outer-boundary
 fluxes, so total_mass(t) - total_mass(0) - (in - out) is the conservation drift.
 
 Output: :func:`write_snapshots_csv` and :func:`write_mass_csv` write the bytes of
-``csv.writer`` (``%.17g`` numbers, ``\\r\\n`` line ends) in one pass: one joined
-string per snapshot arc, so that the text held at once is one arc of one snapshot,
+``csv.writer`` (``%.17g`` numbers, ``\\r\\n`` line ends) in one pass: one ``%``
+format per snapshot arc, so that the text held at once is one arc of one snapshot,
 and one for the whole ledger, which the result already holds in memory.
+``'%.17g' % x`` is the same conversion as ``f"{x:.17g}"``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, StepSizeError, TopologyError
-from .flux import FluxModel, _check_densities
+from .flux import RHO_MAX, FluxModel, _check_densities
 from .junction import NodeTopology, RiemannState, SolverFn, TraceSolution
 from .tolerances import CFL_SLACK, TIME_TOL
 
@@ -62,7 +68,7 @@ class ArcGrid:
         if arr.ndim != 1 or arr.size < 2:
             raise InputError("an arc needs a 1-D grid with at least 2 cells")
         _check_densities(arr)
-        self.rho = np.clip(arr, 0.0, 1.0)
+        self.rho = np.clip(arr, 0.0, 1.0, out=arr)
 
     @property
     def cells(self) -> int:
@@ -143,11 +149,14 @@ def max_stable_dt(model: FluxModel, grids: Sequence[ArcGrid]) -> float:
 class _FlatArcs:
     """Every arc of one node in one flat array, stepped in place.
 
-    Arc l occupies ``u[first[l]:first[l] + cells[l]]``; one ghost cell (always 0)
-    sits before the first arc, between each pair of arcs and after the last.
+    Arc l occupies ``u[first[l]:first[l] + cells[l]]``; one ghost cell (always
+    +0.0) sits before the first arc, between each pair of arcs and after the last.
     Interface i lies between flat cells i and i + 1, so one minimum over the
     whole array gives every interior Godunov flux, and the two interfaces next to
     each ghost take the node fluxes and the outer extrapolation fluxes instead.
+    Cell i changes by ``ratio[i] * (flux[i] - flux[i - 1])``, where ``ratio`` is
+    dt / dx on the arcs' cells and 0 on the ghosts, in one pass over the array;
+    the product and the difference are those of a per-arc update, bit for bit.
     """
 
     def __init__(self, model: FluxModel, grids: Sequence[ArcGrid]):
@@ -167,6 +176,8 @@ class _FlatArcs:
         _check_densities(self.u)
         np.clip(self.u, 0.0, 1.0, out=self.u)
         self.first = first.tolist()
+        self.ratio_dt = None
+        self.ratio = np.zeros(size)
         self.node_cells = np.concatenate((last[:n], first[n:]))
         self.outer_cells = np.concatenate((first[:n], last[n:]))
         self.node_slots = np.concatenate((last[:n], first[n:] - 1))
@@ -185,13 +196,12 @@ class _FlatArcs:
         flux = np.minimum(self.dem[:-1], sup[1:], out=self.dem[:-1])
         flux[self.node_slots] = node.gamma
         flux[self.outer_slots] = outer
-        diff = np.subtract(flux[1:], flux[:-1], out=sup[:-2])
-        for view, a, dx in zip(self.arcs, self.first, self.dx):
-            change = diff[a - 1:a - 1 + view.size]
-            change *= dt / dx
-            view -= change
-        _check_densities(u)
-        np.clip(u, 0.0, 1.0, out=u)
+        change = np.subtract(flux[1:], flux[:-1], out=sup[1:-1])  # cells 1..size-2
+        change *= self._ratio(dt)[1:-1]
+        u[1:-1] -= change
+        if not (float(u.min()) >= 0.0 and float(u.max()) <= RHO_MAX):  # NaN too
+            _check_densities(u)
+            np.clip(u, 0.0, RHO_MAX, out=u)
         inflow = outflow = 0.0
         for value in outer[:n].tolist():
             inflow += value
@@ -199,13 +209,22 @@ class _FlatArcs:
             outflow += value
         return node, inflow, outflow
 
+    def _ratio(self, dt: float) -> np.ndarray:
+        """dt / dx on every cell of an arc and 0 on the ghost cells, rebuilt only
+        when ``dt`` changes (a run uses at most two values)."""
+        if dt != self.ratio_dt:
+            self.ratio_dt = dt
+            for view, a, dx in zip(self.arcs, self.first, self.dx):
+                self.ratio[a:a + view.size] = dt / dx
+        return self.ratio
+
     def mass(self) -> float:
         return sum(float(v.sum()) * dx for v, dx in zip(self.arcs, self.dx))
 
     def close(self) -> None:
         """Free the work buffers before the final copies are made, so that a run
         never holds both; the densities stay readable."""
-        self.dem = self.sup = None
+        self.dem = self.sup = self.ratio = None
 
     def grids(self) -> list[ArcGrid]:
         return [ArcGrid(o, dx, v) for o, dx, v in zip(self.orientations, self.dx,
@@ -323,28 +342,29 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
 
 
 def write_snapshots_csv(result: SimResult, path) -> None:
-    """Emit snapshots as rows (t, arc, x, rho), one string per snapshot arc, with
-    each arc geometry's x column formatted once."""
-    x_columns: dict[tuple, list[str]] = {}
+    """Emit snapshots as rows (t, arc, x, rho), one ``%`` format per snapshot arc,
+    with each arc geometry's x column formatted once."""
+    x_tails: dict[tuple, list[str]] = {}
     with open(path, "w", newline="") as fh:
         fh.write("t,arc,x,rho\r\n")
         for t, grids in result.snapshots:
             for arc, g in enumerate(grids):
                 key = (g.orientation, g.dx, g.cells)
-                xs = x_columns.get(key)
-                if xs is None:
-                    xs = x_columns[key] = [f"{x:.17g}" for x in g.x_centers().tolist()]
-                head = f"{t:.17g},{arc},"
-                fh.write("".join([f"{head}{x},{r:.17g}\r\n"
-                                  for x, r in zip(xs, g.rho.tolist())]))
+                tails = x_tails.get(key)
+                if tails is None:
+                    tails = x_tails[key] = ["%.17g,%%.17g\r\n" % x
+                                            for x in g.x_centers().tolist()]
+                head = ("%.17g,%d," % (t, arc)).replace("%", "%%")
+                fh.write((head + head.join(tails)) % tuple(g.rho.tolist()))
 
 
 def write_mass_csv(result: SimResult, path) -> None:
-    """Emit the ledger as rows (t, total_mass, boundary_in, boundary_out)."""
+    """Emit the ledger as rows (t, total_mass, boundary_in, boundary_out), all
+    through one ``%`` format."""
     with open(path, "w", newline="") as fh:
         fh.write("t,total_mass,boundary_in,boundary_out\r\n")
-        fh.write("".join([f"{t:.17g},{m:.17g},{bi:.17g},{bo:.17g}\r\n"
-                          for t, m, bi, bo in result.ledger]))
+        fh.write("%.17g,%.17g,%.17g,%.17g\r\n" * len(result.ledger)
+                 % tuple([v for t, m, bi, bo in result.ledger for v in (t, m, bi, bo)]))
 
 
 def summary_json(result: SimResult) -> dict:

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
 from .flux import DECREASING, INCREASING, FluxInterval, FluxModel
-from .junction import NodeTopology, RiemannState, TraceSolution, _trace_from_flux
+from .junction import NodeTopology, RiemannState, TraceSolution
 from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_COST_TOL, LP_MATCH_TOL,
                          LP_PIVOT_TOL, RANK_TOL, SIGMA_TIE, SUM_TO_ONE_SLACK)
 
@@ -194,9 +194,9 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     b = [float(x) for x in caps_in]
     c = [float(x) for x in caps_out]
     n, m = len(b), len(c)
-    if len(rows) != m or any(len(row) != n for row in rows):
+    if len(rows) != m or any([len(row) != n for row in rows]):
         raise InvalidMatrixError("matrix shape does not match the cap vectors")
-    if not all(x >= -CAP_SLACK for x in b + c):  # NaN fails too
+    if not all([x >= -CAP_SLACK for x in b + c]):  # NaN fails too
         raise InadmissibleFluxError("caps must be nonnegative")
     # variables 0..n-1 are gamma, n..n+m-1 the slacks c - A gamma; caps clamped at 0
     upper = [x if x > 0.0 else 0.0 for x in b] + [math.inf] * m
@@ -345,15 +345,6 @@ def _caps(model: FluxModel, initial: RiemannState) -> list[FluxInterval]:
             for l, r in enumerate(initial.rho)]
 
 
-def _solution(model: FluxModel, initial: RiemannState, caps: Sequence[FluxInterval],
-              gamma: Sequence[float]) -> TraceSolution:
-    """The solution whose arc fluxes are ``gamma``, each inside its arc's ``caps``."""
-    n = initial.topology.n
-    traces = [_trace_from_flux(model, r, c, g, l < n)
-              for l, (r, c, g) in enumerate(zip(initial.rho, caps, gamma))]
-    return TraceSolution.from_traces(model, initial, traces)
-
-
 def _check_arcs(solver: str, topology: NodeTopology, n: int | None = None,
                 m: int | None = None) -> None:
     """Raise TopologyError unless the node is n x m, or square when n is not given."""
@@ -370,12 +361,14 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     if not matrix_in_n(matrix, topo):
         raise InvalidMatrixError(
             "matrix outside the uniqueness class (no unique flux maximizer)")
+    n = topo.n
     caps = _caps(model, initial)
-    g_in = lp_maximize_box_polytope([c.sup for c in caps[:topo.n]],
-                                    [c.sup for c in caps[topo.n:]], matrix)
-    g_out = [min(sum([a * g for a, g in zip(row, g_in)]), cap.sup)
-             for row, cap in zip(matrix.rows, caps[topo.n:])]
-    return _solution(model, initial, caps, [*g_in, *g_out])
+    sups = [c.sup for c in caps]
+    caps_out = sups[n:]
+    g_in = lp_maximize_box_polytope(sups[:n], caps_out, matrix)
+    g_out = [min(sum([a * g for a, g in zip(row, g_in)]), cap)
+             for row, cap in zip(matrix.rows, caps_out)]
+    return TraceSolution.from_fluxes(model, initial, caps, [*g_in, *g_out])
 
 
 def rs2_solve(model: FluxModel, theta: ThetaWeights,
@@ -400,7 +393,7 @@ def rs2_solve(model: FluxModel, theta: ThetaWeights,
                                   caps_in, through)
     g_out = project_capped_simplex([through * w for w in theta.outgoing],
                                    caps_out, through)
-    return _solution(model, initial, caps, [*g_in, *g_out])
+    return TraceSolution.from_fluxes(model, initial, caps, [*g_in, *g_out])
 
 
 def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
@@ -414,7 +407,7 @@ def rs3_solve(model: FluxModel, theta: ThetaWeights, cap: CrossingCapacity,
     line_caps = [min(caps[i].sup, caps[topo.n + i].sup) for i in range(topo.n)]
     total = min(sum(line_caps), cap.gamma_j)
     g = project_capped_simplex([total * w for w in theta.incoming], line_caps, total)
-    return _solution(model, initial, caps, [*g, *g])
+    return TraceSolution.from_fluxes(model, initial, caps, [*g, *g])
 
 
 def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
@@ -423,7 +416,7 @@ def rs_1x1_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     _check_arcs("rs_1x1", topo, 1, 1)
     caps = _caps(model, initial)
     g = min(caps[0].sup, caps[1].sup)
-    return _solution(model, initial, caps, [g, g])
+    return TraceSolution.from_fluxes(model, initial, caps, [g, g])
 
 
 def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:

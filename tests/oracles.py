@@ -186,6 +186,39 @@ def classify_2x2_reference(model, state, eq_tol: float, sigma_tie: float) -> tup
     return count, perm, row, row != "none"
 
 
+def solution_reference(model, initial, caps, gamma) -> tuple:
+    """(traces, fluxes, balanced, admissible) of the node solution whose arc fluxes
+    are ``gamma``, in two passes over the arcs. The first finds every trace: an
+    error when the flux lies outside the arc's ``caps`` interval (by more than
+    ``FLUX_SLACK``), else the datum when its flux is within ``KEEP_TOL`` of the
+    flux, else sigma when the flux is within ``KEEP_TOL`` of f_max, else the
+    inverse on the branch of the arc's side. The second evaluates f at every trace
+    through the public ``model.value``, sums each side for the balance, and asks
+    the public membership rules, incoming arcs first."""
+    from junction_riemann import InadmissibleFluxError, RiemannState
+    from junction_riemann.tolerances import BALANCE_TOL, FLUX_SLACK, KEEP_TOL
+
+    n = initial.topology.n
+    traces = []
+    for l, (r, cap, g) in enumerate(zip(initial.rho, caps, gamma)):
+        if not -FLUX_SLACK <= g <= cap.sup + FLUX_SLACK:
+            side = "demand of incoming" if l < n else "supply of outgoing"
+            raise InadmissibleFluxError(f"flux {g!r} outside {side} datum {r!r}")
+        if abs(float(model.value(r)) - g) <= KEEP_TOL:
+            traces.append(r)
+        elif model.f_max - g <= KEEP_TOL:
+            traces.append(model.sigma)
+        else:
+            traces.append(model.invert(g, "decreasing" if l < n else "increasing"))
+    rho = RiemannState(initial.topology, tuple(traces)).rho
+    fluxes = tuple(float(model.value(r)) for r in rho)
+    balanced = abs(sum(fluxes[:n]) - sum(fluxes[n:])) <= BALANCE_TOL
+    admissible = all(model.contains_trace_in(r0, r)
+                     for r0, r in zip(initial.rho[:n], rho[:n])) and \
+        all(model.contains_trace_out(r0, r) for r0, r in zip(initial.rho[n:], rho[n:]))
+    return rho, fluxes, balanced, admissible
+
+
 def capped_simplex_projection_kkt(target, caps, total, tol: float = 1e-10):
     """Euclidean projection onto {0 <= x <= caps, sum x = total} by KKT enumeration.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -521,3 +522,13 @@ def test_console_script_runs(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert json.loads(done.stdout)["balanced"]
+
+
+def test_module_entry_point_runs():
+    # ``python -m junction_riemann`` from a checkout, with the package on PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "junction_riemann", "reproduce"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("all rows pass\n")

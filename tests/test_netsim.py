@@ -40,7 +40,10 @@ from junction_riemann import (
     write_mass_csv,
     write_snapshots_csv,
 )
+from junction_riemann.netsim import _FlatArcs
+from junction_riemann.tolerances import DENSITY_SLACK
 from oracles import (
+    bits,
     godunov_reference,
     write_mass_csv_reference,
     write_snapshots_csv_reference,
@@ -338,6 +341,26 @@ def test_run_matches_per_arc_reference(any_model, n, m):
 
 
 @pytest.mark.parametrize("n,m", KERNEL_TOPOLOGIES)
+def test_run_is_bit_identical_to_the_per_arc_reference(any_model, n, m):
+    # dt as the kernel takes it: 0.9 * min(dx) / speed rounds differently from
+    # 0.9 * (min(dx) / speed) for the tabulated speed 3.8000000000000003
+    topo = NodeTopology(n, m)
+    rng = default_rng(700 + 10 * n + m)
+    grids = _kernel_grids(topo, rng)
+    for name, solver in _kernel_solvers(any_model, topo, rng).items():
+        config = SimConfig(any_model, solver, cfl=0.9)
+        result = run(config, grids, steps=KERNEL_STEPS)
+        dt = 0.9 * max_stable_dt(any_model, grids)
+        rhos, gammas, ledger = godunov_reference(
+            any_model, lambda rho: solver(RiemannState(topo, rho)).gamma,
+            [g.rho for g in grids], [g.dx for g in grids], n, dt, KERNEL_STEPS)
+        assert bits([g.rho.tolist() for g in result.grids]) == \
+            bits([r.tolist() for r in rhos]), name
+        assert bits([node.gamma for _, node in result.node_history]) == bits(gammas), name
+        assert bits(result.ledger) == bits(ledger), name
+
+
+@pytest.mark.parametrize("n,m", KERNEL_TOPOLOGIES)
 def test_repeated_step_equals_run(any_model, n, m):
     topo = NodeTopology(n, m)
     rng = default_rng(900 + 10 * n + m)
@@ -368,6 +391,52 @@ def test_node_flux_out_of_range_raises(quad, gamma):
         step(grids, config)
     with pytest.raises(DomainError):
         run(config, grids, steps=3)
+
+
+def _jammed_node(quad, excess):
+    """A 1x1 run whose incoming arc is jammed (every flux on it is 0) and whose
+    node passes the flux that lifts the incoming node cell to 1 + ``excess``."""
+    solver = RS1x1Solver(quad)
+    grids = make_grids(T11, [1.0, 0.2], cells=10)
+    dt = 0.5 * max_stable_dt(quad, grids)
+
+    def lifting(state):
+        out = solver(state)
+        return dataclasses.replace(out, gamma=(-excess * grids[0].dx / dt,)
+                                   + out.gamma[1:])
+
+    return SimConfig(quad, lifting, cfl=0.5), grids
+
+
+def test_step_clips_a_density_within_the_slack(quad):
+    config, grids = _jammed_node(quad, 0.5 * DENSITY_SLACK)
+    assert step(grids, config).grids[0].rho[-1] == 1.0
+    result = run(config, grids, steps=1)
+    assert result.grids[0].rho[-1] == 1.0
+    # the ledger sums the kernel's own array, so it sees a missing clip
+    assert result.ledger[-1][1] == total_mass(result.grids)
+
+
+@pytest.mark.parametrize("excess", [2.0 * DENSITY_SLACK, math.nan])
+def test_step_rejects_a_density_beyond_the_slack(quad, excess):
+    config, grids = _jammed_node(quad, excess)
+    with pytest.raises(DomainError):
+        step(grids, config)
+    with pytest.raises(DomainError):
+        run(config, grids, steps=1)
+
+
+def test_ghost_cells_stay_positive_zero(any_model):
+    topo = NodeTopology(2, 2)
+    rng = default_rng(4400)
+    grids = _kernel_grids(topo, rng)
+    arcs = _FlatArcs(any_model, grids)
+    ghosts = [a - 1 for a in arcs.first] + [arcs.u.size - 1]
+    solver = _kernel_solvers(any_model, topo, rng)["rs2"]
+    dt = max_stable_dt(any_model, grids)
+    for _ in range(40):
+        arcs.advance(solver, dt)
+        assert bits(arcs.u[ghosts].tolist()) == bits([0.0] * len(ghosts))
 
 
 # -- emission ----------------------------------------------------------------------------

@@ -24,9 +24,11 @@ from junction_riemann import (
     RS2Solver,
     RS3Solver,
     RSE12x2Solver,
+    PreconditionError,
     RiemannState,
     ThetaWeights,
     TopologyError,
+    TraceSolution,
     check_E1,
     check_E2,
     classify_2x2,
@@ -42,13 +44,16 @@ from junction_riemann import (
     rs_e1_2x2_solve,
     solver_from_config,
 )
-from junction_riemann.tolerances import FLUX_SLACK, LP_MATCH_TOL
+from junction_riemann.solvers import _caps
+from junction_riemann.tolerances import FLUX_SLACK, KEEP_TOL, LP_MATCH_TOL
 from oracles import (
+    bits,
     capped_simplex_projection_kkt,
     lp_best_grid_value,
     lp_linprog_value,
     lp_vertex_reference,
     ones_in_span,
+    solution_reference,
 )
 
 SQ = math.sqrt
@@ -722,3 +727,99 @@ def test_solver_from_config_errors(quad):
         solver_from_config(quad, {"solver": "rs_1x1"}, T22)
     with pytest.raises(InputError):
         solver_from_config(quad, {"solver": "rs2", "theta": [1.0]}, T22)
+
+
+# -- the shared tail of the flux-based solvers against the plain reference ------------
+
+TAIL_TOPOLOGIES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (4, 5)]
+
+
+def _tail_outcome(tail, model, initial, caps, gamma):
+    """The bits of (traces, fluxes, balanced, admissible), or the error's type and
+    message."""
+    try:
+        out = tail(model, initial, caps, gamma)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, TraceSolution):
+        out = (out.state.rho, out.gamma, out.balanced, out.admissible)
+    return bits(out)
+
+
+def _tail_data(model, topo, rng):
+    """Random data with about half of the arcs at 0, -0.0, 1 or sigma."""
+    special = (0.0, -0.0, 1.0, model.sigma)
+    rho = rng.uniform(0.0, 1.0, topo.total).tolist()
+    for l in range(topo.total):
+        pick = int(rng.integers(8))
+        if pick < len(special):
+            rho[l] = special[pick]
+    return RiemannState(topo, tuple(rho))
+
+
+def _tail_fluxes(model, state, caps, rng):
+    """One flux per arc: inside its cap, at or near f(datum), at f_max, at 0 or -0.0,
+    inside the slack past the cap, or (rarely) beyond the slack on either side."""
+    gamma = []
+    for r, cap in zip(state.rho, caps):
+        f0 = float(model.value(r))
+        choices = (float(rng.uniform()) * cap.sup, f0,
+                   f0 + float(rng.uniform(-2.0, 2.0)) * KEEP_TOL,
+                   min(model.f_max, cap.sup), 0.0, -0.0, cap.sup + 0.5 * FLUX_SLACK,
+                   cap.sup + 2.0 * FLUX_SLACK, -2.0 * FLUX_SLACK)
+        weights = np.array([6, 4, 3, 3, 1, 1, 1, 0.25, 0.25])
+        gamma.append(choices[rng.choice(len(choices), p=weights / weights.sum())])
+    return gamma
+
+
+@pytest.mark.parametrize("n,m", TAIL_TOPOLOGIES)
+def test_flux_tail_is_bit_identical_to_the_plain_reference(any_model, n, m,
+                                                            monkeypatch):
+    topo = NodeTopology(n, m)
+    rng = default_rng(8100 + 10 * n + m)
+    tail = TraceSolution.from_fluxes
+    solved = []
+
+    def compared(model, initial, caps, gamma):
+        got = _tail_outcome(tail, model, initial, caps, gamma)
+        assert got == _tail_outcome(solution_reference, model, initial, caps, gamma)
+        solved.append(got)
+        return tail(model, initial, caps, gamma)
+
+    monkeypatch.setattr(TraceSolution, "from_fluxes", staticmethod(compared))
+    theta = ThetaWeights(*(tuple((w / w.sum()).tolist())
+                           for w in (rng.uniform(0.2, 1.0, k) for k in (n, m))))
+    solvers = [RS2Solver(any_model, theta)]
+    if n == m:
+        solvers.append(RS3Solver(any_model, theta,
+                                 CrossingCapacity(float(rng.uniform(0.3, 2.0)))))
+    if (n, m) == (1, 1):
+        solvers.append(RS1x1Solver(any_model))
+    if 1 < m and n <= m:
+        while True:
+            columns = rng.uniform(0.1, 1.0, (m, n))
+            matrix = DistributionMatrix.from_rows(columns / columns.sum(axis=0))
+            if matrix_in_n(matrix, topo):
+                break
+        solvers.append(RS1Solver(any_model, matrix))
+    direct = []
+    for _ in range(30):
+        state = _tail_data(any_model, topo, rng)
+        for solver in solvers:
+            try:
+                solver(state)
+            except DegeneracyError:  # rs1's uniqueness probe, before the tail
+                pass
+        caps = _caps(any_model, state)
+        for _ in range(4):
+            gamma = _tail_fluxes(any_model, state, caps, rng)
+            got = _tail_outcome(tail, any_model, state, caps, gamma)
+            assert got == _tail_outcome(solution_reference, any_model, state, caps,
+                                        gamma)
+            direct.append(got)
+    assert len(solved) >= 30 * len(solvers) - 10
+    # errors, and each verdict both ways, all occur
+    assert any(got[0] is InadmissibleFluxError for got in direct)
+    verdicts = [(got[1][2][1], got[1][3][1]) for got in solved + direct
+                if got[0] is tuple]
+    assert {b for b, _ in verdicts} == {a for _, a in verdicts} == {True, False}
