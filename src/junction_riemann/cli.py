@@ -25,7 +25,7 @@ import sys
 from .entropy import check_E1, check_E2, classify_2x2, entropy_flux, \
     face_objective_equivalence
 from .errors import InputError, PreconditionError
-from .flux import FluxModel
+from .flux import FluxModel, _parameter
 from .junction import RiemannState
 from .netsim import SimConfig, make_grids, run, summary_json, write_mass_csv, \
     write_snapshots_csv
@@ -106,9 +106,10 @@ def _resolve(obj):
 
 # -- document plumbing -------------------------------------------------------------------
 
-def _read_json(path: str, what: str):
-    """The JSON document in ``path`` with its {"expr"} numbers evaluated; any
-    unreadable, malformed or too deeply nested file raises InputError."""
+def _read_json(path: str, what: str, keep: str | None = None):
+    """The JSON document in ``path`` with its {"expr"} numbers evaluated, except
+    under the top-level key ``keep``, whose reader evaluates them as it checks
+    them; any unreadable, malformed or too deeply nested file raises InputError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -118,13 +119,15 @@ def _read_json(path: str, what: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is nested too deeply") from exc
+    if keep is not None and isinstance(doc, dict) and keep in doc:
+        return {k: v if k == keep else resolve_numbers(v) for k, v in doc.items()}
     return resolve_numbers(doc)
 
 
-def load_document(path: str | None) -> dict:
+def load_document(path: str | None, keep: str | None = None) -> dict:
     if not path:
         raise InputError("this command needs --input FILE")
-    doc = _read_json(path, "input file")
+    doc = _read_json(path, "input file", keep)
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     return doc
@@ -137,9 +140,10 @@ def parse_state(doc: dict) -> RiemannState:
     return RiemannState.from_json(obj)
 
 
-def _load_node(args) -> tuple[dict, FluxModel, RiemannState]:
-    """The ``--input`` document, its flux model and its node state."""
-    doc = load_document(args.input)
+def _load_node(args, keep: str | None = None) -> tuple[dict, FluxModel, RiemannState]:
+    """The ``--input`` document (its {"expr"} numbers evaluated, except under
+    ``keep``), its flux model and its node state."""
+    doc = load_document(args.input, keep)
     return doc, FluxModel.from_json(doc.get("flux")), parse_state(doc)
 
 
@@ -242,27 +246,31 @@ def _is_int(value) -> bool:
 
 
 def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise InputError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    """``value``, or the {"expr"} number it holds, as a float; InputError unless it
+    is a finite number (a bool is not)."""
+    return _parameter(resolve_numbers(value), what)
 
 
 def _numbers(value, what: str) -> list[float]:
     if not isinstance(value, list):
         raise InputError(f"{what} must be a list of numbers, got {value!r}")
-    return [_number(v, what) for v in value]
+    isfinite = math.isfinite
+    return [v if v.__class__ is float and isfinite(v) else _number(v, what)
+            for v in value]
 
 
 def parse_simulation(doc: dict, state: RiemannState) -> dict:
     """The simulate fields of a document, as keyword arguments of ``SimConfig``
     (``cfl``, ``t_end``) and of ``make_grids`` (``initial``, ``cells``,
     ``length``), plus ``snapshots``. The initial profiles default to the state's
-    densities. Any malformed field raises InputError."""
+    densities; their {"expr"} numbers may still be unevaluated, and are evaluated
+    in the same pass that checks them. Any malformed field raises InputError."""
     cells = _number(doc.get("cells", 200), "'cells'")
     if cells != int(cells):
         raise InputError(f"'cells' must be an integer, got {doc['cells']!r}")
     initial = doc.get("initial", list(state.rho))
+    if isinstance(initial, dict):
+        initial = resolve_numbers(initial)
     if not isinstance(initial, list):
         raise InputError(f"'initial' must be a list, got {initial!r}")
     uniform = sum(not isinstance(p, list) for p in initial)
@@ -281,7 +289,7 @@ def parse_simulation(doc: dict, state: RiemannState) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    doc, model, state = _load_node(args)
+    doc, model, state = _load_node(args, keep="initial")
     solver = build_solver(doc, args, model, state.topology)
     sim = parse_simulation(doc, state)
     config = SimConfig(flux=model, solver=solver, cfl=sim["cfl"], t_end=sim["t_end"])

@@ -23,6 +23,8 @@ already checked (those of a ``RiemannState``) calls it directly. The check retur
 once for a density in [0, 1], so a checked call costs little more than the kernel.
 Densities within ``DENSITY_SLACK`` of [0, 1] and fluxes within ``FLUX_SLACK`` of their
 range are clamped; these and ``BOUNDARY_EPS`` live in :mod:`junction_riemann.tolerances`.
+The constructors raise InputError for a parameter or sample that is not a finite
+number (a string, a bool, NaN or an infinity), and for a table file they cannot read.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def _check_densities(rho: np.ndarray) -> None:
         raise DomainError(f"densities outside [0, {RHO_MAX}]")
 
 
+def _parameter(value, what: str) -> float:
+    """``value`` as a float; InputError unless it is a finite real number (a bool,
+    a string or None is not)."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _interp(x: float, xp: tuple[float, ...], fp: tuple[float, ...]) -> float:
     """``np.interp(x, xp, fp)`` for one float and strictly increasing ``xp``.
 
@@ -100,24 +112,31 @@ class FluxModel:
 
     @staticmethod
     def quadratic(coefficient: float = 4.0) -> "FluxModel":
+        coefficient = _parameter(coefficient, "quadratic coefficient")
         if coefficient <= 0:
             raise InputError("quadratic coefficient must be positive")
-        return FluxModel("quadratic", {"coefficient": float(coefficient)},
+        return FluxModel("quadratic", {"coefficient": coefficient},
                          sigma=0.5, f_max=coefficient / 4.0)
 
     @staticmethod
     def triangular(sigma: float = 0.5, f_max: float = 1.0) -> "FluxModel":
+        sigma = _parameter(sigma, "triangular sigma")
+        f_max = _parameter(f_max, "triangular f_max")
         if not 0.0 < sigma < 1.0:
             raise InputError("triangular sigma must lie strictly inside (0, 1)")
         if f_max <= 0:
             raise InputError("triangular f_max must be positive")
-        return FluxModel("triangular", {"sigma": float(sigma), "f_max": float(f_max)},
-                         sigma=float(sigma), f_max=float(f_max))
+        return FluxModel("triangular", {"sigma": sigma, "f_max": f_max},
+                         sigma=sigma, f_max=f_max)
 
     @staticmethod
     def tabulated(rho: Iterable[float], flux: Iterable[float]) -> "FluxModel":
-        xs = tuple(float(x) for x in rho)
-        ys = tuple(float(y) for y in flux)
+        try:
+            xs = tuple([_parameter(x, "tabulated rho sample") for x in rho])
+            ys = tuple([_parameter(y, "tabulated flux sample") for y in flux])
+        except TypeError as exc:  # not iterable
+            raise InputError(f"tabulated samples must be lists of numbers: {exc}") \
+                from exc
         if len(xs) != len(ys) or len(xs) < 3:
             raise InputError("tabulated flux needs >= 3 matching samples")
         if xs[0] != 0.0 or xs[-1] != RHO_MAX:
@@ -141,20 +160,23 @@ class FluxModel:
 
     @staticmethod
     def tabulated_from_csv(path) -> "FluxModel":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["rho", "flux"]:
-                raise InputError(f"{path}: expected CSV header 'rho,flux'")
-            xs, ys = [], []
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    xs.append(float(row[0]))
-                    ys.append(float(row[1]))
-                except (IndexError, ValueError) as exc:
-                    raise InputError(f"{path}: bad sample row {row!r}") from exc
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["rho", "flux"]:
+                    raise InputError(f"{path}: expected CSV header 'rho,flux'")
+                xs, ys = [], []
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        xs.append(float(row[0]))
+                        ys.append(float(row[1]))
+                    except (IndexError, ValueError) as exc:
+                        raise InputError(f"{path}: bad sample row {row!r}") from exc
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise InputError(f"cannot read flux table {path}: {exc}") from exc
         return FluxModel.tabulated(xs, ys)
 
     @staticmethod
@@ -174,6 +196,9 @@ class FluxModel:
                                         params.get("f_max", 1.0))
         if kind == "tabulated":
             if "csv" in params:
+                if not isinstance(params["csv"], str):
+                    raise InputError(f"tabulated 'csv' must be a file path, "
+                                     f"got {params['csv']!r}")
                 return FluxModel.tabulated_from_csv(params["csv"])
             try:
                 return FluxModel.tabulated(params["rho"], params["flux"])

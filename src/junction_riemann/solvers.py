@@ -21,13 +21,16 @@ maximization is one bounded-variable primal simplex with Bland's rule, whose cos
 grows polynomially with the arc count in practice, and the capped-simplex projection
 is one sorted breakpoint walk for the KKT shift, after Kiwiel 2008. Only the
 uniqueness-class test :func:`matrix_in_n` enumerates subsets, in chunks of bounded size.
+An :class:`RS1Solver` handle carries the simplex's last optimal basis from call to
+call and skips the pivots while that basis still fits; its outputs do not depend
+on what it solved before.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -175,7 +178,7 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...]) -> bool:
 # -- linear programming over the demand box / supply polytope --------------------------
 
 def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float],
-                             matrix) -> tuple[float, ...]:
+                             matrix, warm: list | None = None) -> tuple[float, ...]:
     """Maximize sum(gamma) over {0 <= gamma <= caps_in, 0 <= A gamma <= caps_out}.
 
     One bounded-variable primal simplex (Dantzig's upper-bounding technique) in
@@ -188,6 +191,17 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     reduced cost and moves the others as far from their bounds as it can, finds a
     point further than ``LP_MATCH_TOL`` away; then DegeneracyError is raised (the
     numerical signature of a matrix outside the uniqueness class).
+
+    A final basis whose nonbasic reduced costs all lie beyond ``LP_COST_TOL`` is an
+    optimum with no tie, needs no face run, and gives its fluxes by one formula of
+    the matrix, the basis and the caps (:func:`_basis_record`), so they are the
+    same bits whichever pivot path found it; any other basis keeps the simplex's
+    values. ``warm``, a one-item list, carries such a basis between calls
+    (warm-starting, Bixby 2002). At the new caps it is evaluated with no pivot; if
+    every basic flux and slack lies more than ``LP_MATCH_TOL`` inside its bounds,
+    it is the one optimal basis, where every pivot path ends, and its fluxes are
+    returned. Otherwise the call starts cold and holds its own final basis if that
+    has the formula. The result never depends on what ``warm`` held.
     """
     rows = matrix.rows if isinstance(matrix, DistributionMatrix) else \
         tuple(tuple(float(a) for a in row) for row in matrix)
@@ -199,11 +213,27 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     if not all([x >= -CAP_SLACK for x in b + c]):  # NaN fails too
         raise InadmissibleFluxError("caps must be nonnegative")
     # variables 0..n-1 are gamma, n..n+m-1 the slacks c - A gamma; caps clamped at 0
-    upper = [x if x > 0.0 else 0.0 for x in b] + [math.inf] * m
-    x = [0.0] * n + [v if v > 0.0 else 0.0 for v in c]
+    b = [x if x > 0.0 else 0.0 for x in b]
+    c = [x if x > 0.0 else 0.0 for x in c]
+    start = warm[0] if warm is not None else None
+    if start is not None and start[0] == rows:
+        gamma = _fluxes_at(start, b, c)
+        if _strictly_inside(start, gamma, b, c):
+            return tuple(gamma)
+    else:
+        start = None
+    upper = b + [math.inf] * m
+    x = [0.0] * n + c
     T = [list(row) for row in rows]
     basis, cols, cost = list(range(n, n + m)), list(range(n)), [1.0] * n
     _pivot_to_optimum(T, basis, cols, cost, x, upper, ())
+    key = tuple(sorted(basis))
+    record = start if start is not None and start[1] == key else _basis_record(rows, key)
+    if record is not None:
+        if warm is not None:
+            warm[0] = record
+        return tuple([(v if v < u else u) if v > 0.0 else 0.0
+                      for v, u in zip(_fluxes_at(record, b, c), b)])
     free = [k for k, d in enumerate(cost) if -LP_COST_TOL <= d <= LP_COST_TOL
             and upper[cols[k]] > 0.0]
     best = x[:n]
@@ -219,6 +249,101 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
                 "flux maximizer is not unique; matrix outside the uniqueness class")
     # rounding can leave a basic flux an ulp outside its box
     return tuple([(v if v < u else u) if v > 0.0 else 0.0 for v, u in zip(best, upper)])
+
+
+def _basis_record(rows: tuple[tuple[float, ...], ...],
+                  basis: tuple[int, ...]) -> tuple | None:
+    """The basis ``basis`` (its basic variables in ascending order: fluxes 0..n-1,
+    then the slack n + j of each loose row j) as one immutable record, or None
+    unless every nonbasic reduced cost lies beyond ``LP_COST_TOL``.
+
+    Gauss-Jordan elimination of [A[tight] | I] on the basic flux columns, in order
+    and with partial pivoting, leaves the inverse of A[tight, basic] in place of I
+    and inverse A[tight, i] in each nonbasic column i. Column sums give the reduced
+    costs: -(sum of the inverse's column r) for the slack of tight row r, and 1 -
+    (column sum) for a nonbasic flux, which sits at its cap when that is positive.
+    The record depends on nothing but the matrix and the basis.
+    """
+    m, n = len(rows), len(rows[0])
+    p = 0
+    while p < m and basis[p] < n:
+        p += 1
+    if not p:  # every flux at its upper bound, every row loose
+        return rows, basis, (), tuple(range(n)), ()
+    tight = tuple([j for j in range(m) if n + j not in basis])
+    aug = [[*rows[j], *[0.0] * p] for j in tight]
+    for k in range(p):
+        aug[k][n + k] = 1.0
+    for k in range(p):
+        col, pivot = basis[k], k
+        for r in range(k + 1, p):
+            if abs(aug[r][col]) > abs(aug[pivot][col]):
+                pivot = r
+        prow = aug[pivot]
+        f = prow[col]
+        if abs(f) <= LP_PIVOT_TOL:
+            return None
+        aug[pivot] = aug[k]
+        aug[k] = prow = [a / f for a in prow]
+        for r in range(p):
+            f = aug[r][col]
+            if r != k and f != 0.0:
+                aug[r] = [a - f * q for a, q in zip(aug[r], prow)]
+    sums = list(map(sum, zip(*aug)))
+    if min(sums[n:]) <= LP_COST_TOL:
+        return None
+    up = []
+    for i in range(n):
+        if i not in basis:
+            d = 1.0 - sums[i]
+            if -LP_COST_TOL <= d <= LP_COST_TOL:
+                return None
+            if d > 0.0:
+                up.append(i)
+    # the rows are never written again
+    return rows, basis, tight, tuple(up), tuple(aug)
+
+
+def _fluxes_at(record: tuple, b: list[float], c: list[float]) -> list[float]:
+    """gamma at the basis of ``record`` for the caps b, c (clamped at 0).
+
+    A nonbasic flux sits at 0 or at its cap b. The basic flux of row k of the
+    record's elimination is that row times (-b on the fluxes at their cap, 0 on
+    the others, then c[tight]), that is inverse (c[tight] - A[tight, up] b[up]),
+    summed in one fixed order.
+    """
+    _, basis, tight, up, aug = record
+    n = len(b)
+    gamma, z = [0.0] * n, [0.0] * n
+    for i in up:
+        gamma[i] = b[i]
+        z[i] = -b[i]
+    for j in tight:
+        z.append(c[j])
+    for i, row in zip(basis, aug):
+        v = 0.0
+        for a, w in zip(row, z):
+            v += a * w
+        gamma[i] = v
+    return gamma
+
+
+def _strictly_inside(record: tuple, gamma: list[float], b: list[float],
+                     c: list[float]) -> bool:
+    """Whether every basic flux and slack of ``record`` lies more than
+    ``LP_MATCH_TOL`` inside its bounds at ``gamma`` and the caps b, c."""
+    rows, basis, _, _, aug = record
+    n, tol = len(b), LP_MATCH_TOL
+    for i in basis[:len(aug)]:
+        if not tol < gamma[i] < b[i] - tol:
+            return False
+    for k in basis[len(aug):]:
+        slack = c[k - n]
+        for a, g in zip(rows[k - n], gamma):
+            slack -= a * g
+        if not slack > tol:
+            return False
+    return True
 
 
 def _pivot_to_optimum(T: list[list[float]], basis: list[int], cols: list[int],
@@ -355,8 +480,12 @@ def _check_arcs(solver: str, topology: NodeTopology, n: int | None = None,
 
 
 def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
-              initial: RiemannState) -> TraceSolution:
-    """Maximize total incoming flux routed through the distribution matrix."""
+              initial: RiemannState, warm: list | None = None) -> TraceSolution:
+    """Maximize total incoming flux routed through the distribution matrix.
+
+    ``warm`` carries the LP's optimal basis between calls (see
+    :func:`lp_maximize_box_polytope`); it changes no output bit.
+    """
     topo = initial.topology
     if not matrix_in_n(matrix, topo):
         raise InvalidMatrixError(
@@ -365,7 +494,7 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     caps = _caps(model, initial)
     sups = [c.sup for c in caps]
     caps_out = sups[n:]
-    g_in = lp_maximize_box_polytope(sups[:n], caps_out, matrix)
+    g_in = lp_maximize_box_polytope(sups[:n], caps_out, matrix, warm)
     g_out = [min(sum([a * g for a, g in zip(row, g_in)]), cap)
              for row, cap in zip(matrix.rows, caps_out)]
     return TraceSolution.from_fluxes(model, initial, caps, [*g_in, *g_out])
@@ -509,11 +638,18 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
 
 @dataclass(frozen=True)
 class RS1Solver:
+    """rs1 with a fixed model and matrix, carrying the LP's last optimal basis from
+    call to call (see :func:`lp_maximize_box_polytope`) as one immutable record in
+    a one-item list, replaced by a single assignment. It returns the same bits as a
+    fresh :func:`rs1_solve`, whatever it solved before."""
+
     model: FluxModel
     matrix: DistributionMatrix
+    basis: list = field(default_factory=lambda: [None], init=False, repr=False,
+                        compare=False)
 
     def __call__(self, state: RiemannState) -> TraceSolution:
-        return rs1_solve(self.model, self.matrix, state)
+        return rs1_solve(self.model, self.matrix, state, self.basis)
 
 
 @dataclass(frozen=True)

@@ -464,6 +464,77 @@ def test_simulate_too_many_cells_exits_1_before_allocating(tmp_path, capsys,
     assert "'cells'" in err
 
 
+#: malformed 'initial' lists and the message each gets, as text spliced into SIM_DOC.
+INITIAL_ERRORS = {
+    "bad-expr": ('[{"expr": "1/0"}, 0.25]',
+                 "cannot evaluate expression '1/0': float division by zero"),
+    "string": ('["a", 0.25]', "'initial' value must be a finite number, got 'a'"),
+    "object": ('[[0.5, {"a": {"expr": "1/2"}}, 0.5], 0.25]',
+               "'initial' profile must be a finite number, got {'a': 0.5}"),
+    "expr-for-list": ('{"expr": "2"}', "'initial' must be a list, got 2.0"),
+    "deep": ("[" + "[" * 600 + "0.5" + "]" * 600 + ", 0.25]",
+             "document nested too deeply"),
+    "nan": ("[NaN, 0.25]", "'initial' value must be a finite number, got nan"),
+    "bool": ("[[0.5, true, 0.5], 0.25]",
+             "'initial' profile must be a finite number, got True"),
+}
+
+
+@pytest.mark.parametrize("initial, message", INITIAL_ERRORS.values(), ids=INITIAL_ERRORS)
+def test_simulate_initial_errors_keep_their_messages(tmp_path, capsys, initial, message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(SIM_DOC)[:-1] + ', "initial": ' + initial + "}")
+    assert main(["simulate", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_simulate_walks_the_initial_numbers_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda obj: calls.append(1) or resolve(obj))
+    counts = []
+    for cells in (10, 1000):
+        doc = dict(SIM_DOC, cells=cells, t_end=0.01,
+                   initial=[[0.75] * cells, [{"expr": "1/4"}] + [0.25] * (cells - 1)])
+        calls.clear()
+        assert main(["simulate", "--input", write_doc(tmp_path, "d.json", doc)]) == 0
+        counts.append(len(calls))
+    # the {"expr"} number and the rest of the document, whatever the cell count
+    assert 0 < counts[0] == counts[1]
+
+
+#: flux blocks with a non-numeric, boolean or non-finite parameter or sample, or a
+#: table that cannot be read; "MISSING" stands for a path that does not exist.
+HOSTILE_FLUX_BLOCKS = {
+    "quadratic-nan": {"kind": "quadratic", "params": {"coefficient": math.nan}},
+    "quadratic-inf": {"kind": "quadratic", "params": {"coefficient": math.inf}},
+    "quadratic-bool": {"kind": "quadratic", "params": {"coefficient": True}},
+    "quadratic-string": {"kind": "quadratic", "params": {"coefficient": "4"}},
+    "triangular-inf-peak": {"kind": "triangular", "params": {"f_max": math.inf}},
+    "triangular-string-sigma": {"kind": "triangular", "params": {"sigma": "0.5"}},
+    "tabulated-nan-rho": {"kind": "tabulated",
+                          "params": {"rho": [0, math.nan, 1], "flux": [0, 0.5, 0]}},
+    "tabulated-inf-flux": {"kind": "tabulated",
+                           "params": {"rho": [0, 0.5, 1], "flux": [0, math.inf, 0]}},
+    "tabulated-number-for-samples": {"kind": "tabulated",
+                                     "params": {"rho": 5, "flux": [0, 0.5, 0]}},
+    "tabulated-missing-csv": {"kind": "tabulated", "params": {"csv": "MISSING"}},
+    "tabulated-csv-not-a-path": {"kind": "tabulated", "params": {"csv": 0}},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("flux", HOSTILE_FLUX_BLOCKS.values(), ids=HOSTILE_FLUX_BLOCKS)
+def test_hostile_flux_parameters_exit_1(tmp_path, capsys, command, flux):
+    if flux["params"].get("csv") == "MISSING":
+        flux = {"kind": "tabulated", "params": {"csv": str(tmp_path / "missing.csv")}}
+    doc = {"state": {"n": 2, "m": 2, "rho": [0.25, 0.75, 0.25, 0.75]},
+           "solver": {"solver": "rs2"}, "flux": flux, "cells": 10, "t_end": 0.01}
+    assert main([command, "--input", write_doc(tmp_path, "d.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def _deep_json(shape: str, depth: int) -> str:
     if shape == "arrays":
         return "[" * depth + "0.5" + "]" * depth

@@ -421,3 +421,53 @@ def test_json_defaults_and_errors():
         FluxModel.from_json({"kind": "tabulated", "params": {}})
     with pytest.raises(InputError):
         FluxModel.from_json("quadratic")
+
+
+NAN, INF = math.nan, math.inf
+#: constructor calls with a non-numeric, boolean or non-finite parameter or sample.
+HOSTILE_FLUXES = {
+    "quadratic-nan": ("quadratic", (NAN,)),
+    "quadratic-inf": ("quadratic", (INF,)),
+    "quadratic-bool": ("quadratic", (True,)),
+    "quadratic-string": ("quadratic", ("4",)),
+    "quadratic-none": ("quadratic", (None,)),
+    "triangular-inf-peak": ("triangular", (0.5, INF)),
+    "triangular-nan-sigma": ("triangular", (NAN, 1.0)),
+    "triangular-string-sigma": ("triangular", ("0.5", 1.0)),
+    "triangular-bool-peak": ("triangular", (0.5, True)),
+    "tabulated-nan-rho": ("tabulated", ((0.0, NAN, 1.0), (0.0, 0.5, 0.0))),
+    "tabulated-inf-flux": ("tabulated", ((0.0, 0.5, 1.0), (0.0, INF, 0.0))),
+    "tabulated-string-rho": ("tabulated", ((0.0, "0.5", 1.0), (0.0, 0.5, 0.0))),
+    "tabulated-bool-flux": ("tabulated", ((0.0, 0.5, 1.0), (False, 0.5, False))),
+    "tabulated-number-for-samples": ("tabulated", (5, (0.0, 0.5, 0.0))),
+}
+
+
+@pytest.mark.parametrize("kind, args", HOSTILE_FLUXES.values(), ids=HOSTILE_FLUXES)
+def test_hostile_flux_parameters_raise_input_error(kind, args):
+    with pytest.raises(InputError):
+        getattr(FluxModel, kind)(*args)
+
+
+def test_numpy_parameters_are_accepted():
+    model = FluxModel.triangular(np.float32(0.25), np.int64(2))
+    assert (model.sigma, model.f_max) == (0.25, 2.0)
+    assert FluxModel.quadratic(np.float64(4.0)).f_max == 1.0
+
+
+def test_csv_unreadable_file_raises_input_error(tmp_path):
+    with pytest.raises(InputError, match="missing.csv"):
+        FluxModel.tabulated_from_csv(tmp_path / "missing.csv")
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"rho,flux\n\xff\xfe\x00\n")
+    with pytest.raises(InputError):
+        FluxModel.tabulated_from_csv(binary)
+    nan_row = tmp_path / "nan.csv"
+    nan_row.write_text("rho,flux\n0,0\nnan,0.5\n1,0\n")
+    with pytest.raises(InputError):
+        FluxModel.tabulated_from_csv(nan_row)
+
+
+def test_json_csv_path_must_be_a_string():
+    with pytest.raises(InputError):
+        FluxModel.from_json({"kind": "tabulated", "params": {"csv": 0}})

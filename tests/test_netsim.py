@@ -377,6 +377,31 @@ def test_repeated_step_equals_run(any_model, n, m):
             assert np.array_equal(got.rho, want.rho), name
 
 
+def _run_bits(result: SimResult):
+    return bits(([g.rho.tolist() for g in result.grids],
+                 [(t, node.state.rho, node.gamma) for t, node in result.node_history],
+                 result.ledger))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3)])
+def test_run_with_a_prewarmed_rs1_handle_is_bit_identical(any_model, n, m):
+    topo = NodeTopology(n, m)
+    rng = default_rng(950 + 10 * n + m)
+    while True:
+        columns = rng.uniform(0.1, 1.0, (m, n))
+        matrix = DistributionMatrix.from_rows(columns / columns.sum(axis=0))
+        if matrix_in_n(matrix, topo):
+            break
+    grids, unrelated = _kernel_grids(topo, rng), _kernel_grids(topo, rng)
+    cold = run(SimConfig(any_model, lambda state: rs1_solve(any_model, matrix, state),
+                         cfl=0.9), grids, steps=KERNEL_STEPS)
+    handle = RS1Solver(any_model, matrix)
+    run(SimConfig(any_model, handle, cfl=0.9), unrelated, steps=KERNEL_STEPS)
+    assert handle.basis[0] is not None
+    warmed = run(SimConfig(any_model, handle, cfl=0.9), grids, steps=KERNEL_STEPS)
+    assert _run_bits(warmed) == _run_bits(cold)
+
+
 @pytest.mark.parametrize("gamma", [10.0, math.nan])
 def test_node_flux_out_of_range_raises(quad, gamma):
     solver = RS1Solver(quad, MATRIX_2X2)

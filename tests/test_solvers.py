@@ -44,6 +44,7 @@ from junction_riemann import (
     rs_e1_2x2_solve,
     solver_from_config,
 )
+from junction_riemann import solvers as solvers_module
 from junction_riemann.solvers import _caps
 from junction_riemann.tolerances import FLUX_SLACK, KEEP_TOL, LP_MATCH_TOL
 from oracles import (
@@ -531,6 +532,109 @@ def test_rs1_idempotent_on_samples(quad):
         again = solver(out.state)
         assert out.state.rho == pytest.approx(again.state.rho, abs=1e-10)
         assert out.balanced and out.admissible
+
+
+# -- rs1 warm starts: outputs free of history -------------------------------------------
+
+
+WARM_SIZES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)]
+
+
+def _warm_states(rng, model, topo, count: int) -> list[RiemannState]:
+    """A slow random walk, so that the held basis usually fits the next datum, then
+    boundary-biased data drawn datum by datum: each density is 0, 1, sigma or
+    sigma +- 1e-13 with probability 0.6."""
+    special = np.array([0.0, 1.0, model.sigma, model.sigma - 1e-13,
+                        model.sigma + 1e-13])
+    walk = rng.uniform(0.05, 0.95, topo.total)
+    states = []
+    for k in range(count):
+        if k < count // 2:
+            walk = np.clip(walk + rng.normal(0.0, 0.01, topo.total), 0.0, 1.0)
+            rho = walk
+        else:
+            rho = np.where(rng.random(topo.total) < 0.6,
+                           special[rng.integers(5, size=topo.total)],
+                           rng.uniform(0.0, 1.0, topo.total))
+        states.append(RiemannState(topo, tuple(rho.tolist())))
+    return states
+
+
+@pytest.mark.parametrize("n,m", WARM_SIZES)
+def test_rs1_handle_is_free_of_history(any_model, n, m, monkeypatch):
+    rng = default_rng(5100 + 10 * n + m)
+    topo = NodeTopology(n, m)
+    matrix = _certified_matrix(rng, n, m)
+    states = _warm_states(rng, any_model, topo, 40)
+    fresh = [bits(rs1_solve(any_model, matrix, s)) for s in states]
+    pivots = []
+    pivot = solvers_module._pivot_to_optimum
+    monkeypatch.setattr(solvers_module, "_pivot_to_optimum",
+                        lambda *args: pivots.append(1) or pivot(*args))
+    forward = RS1Solver(any_model, matrix)
+    backward = RS1Solver(any_model, matrix)
+    assert [bits(forward(s)) for s in states] == fresh
+    assert [bits(backward(s)) for s in reversed(states)][::-1] == fresh
+    # the held basis answered some of the calls without a pivot
+    assert len(pivots) < 2 * len(states)
+
+
+@pytest.mark.parametrize("n,m", WARM_SIZES)
+def test_rs1_warm_and_cold_fluxes_match_the_oracles(any_model, n, m):
+    rng = default_rng(5200 + 10 * n + m)
+    topo = NodeTopology(n, m)
+    matrix = _certified_matrix(rng, n, m)
+    A = matrix.as_array()
+    handle = RS1Solver(any_model, matrix)
+    for state in _warm_states(rng, any_model, topo, 24):
+        caps_in = [any_model.demand(r).sup for r in state.incoming]
+        caps_out = [any_model.supply(r).sup for r in state.outgoing]
+        want = lp_vertex_reference(caps_in, caps_out, matrix.rows)
+        best = lp_linprog_value(caps_in, caps_out, A)
+        for got in (handle(state).gamma[:n], rs1_solve(any_model, matrix, state).gamma[:n]):
+            assert _agrees_with_reference(got, want)
+            assert sum(got) == pytest.approx(best, abs=1e-8)
+
+
+def _outcome(call, *args):
+    try:
+        return bits(call(*args))
+    except PreconditionError as exc:
+        return type(exc)
+
+
+def test_prewarmed_lp_raises_exactly_where_a_cold_one_does():
+    rng = default_rng(5300)
+    wide = DistributionMatrix.from_rows(
+        [[0.1, 0.1, 0.2, 0.3], [0.2, 0.2, 0.3, 0.1], [0.3, 0.3, 0.1, 0.2],
+         [0.4, 0.4, 0.4, 0.4]])
+    for matrix in (A_DOUBLED, wide):
+        # loose caps have a unique optimum even here, tight ones a tie
+        caps = [(rng.uniform(0.0, 1.0, matrix.n).tolist(),
+                 rng.uniform(scale, 1.0, matrix.m).tolist())
+                for scale in (0.0, 0.9) for _ in range(30)]
+        rng.shuffle(caps)
+        cold = [_outcome(lp_maximize_box_polytope, b, c, matrix) for b, c in caps]
+        assert DegeneracyError in cold and any(o is not DegeneracyError for o in cold)
+        warm = [None]
+        lp_maximize_box_polytope((0.5, 0.5), (1.0, 1.0), MATRIX_2X2, warm)
+        assert warm[0] is not None
+        assert [_outcome(lp_maximize_box_polytope, b, c, matrix, warm)
+                for b, c in caps] == cold
+        # the loose caps left a basis of this matrix in the cell
+        assert warm[0][0] is matrix.rows
+
+
+def test_prewarmed_rs1_handle_raises_exactly_where_a_fresh_one_does(quad):
+    rng = default_rng(5400)
+    warmed = RS1Solver(quad, MATRIX_2X2)
+    warmed(random_state(rng, T22))
+    doubled = RS1Solver(quad, A_DOUBLED)
+    doubled.basis[0] = warmed.basis[0]
+    for _ in range(20):
+        state = random_state(rng, T22)
+        assert _outcome(doubled, state) is InvalidMatrixError
+        assert _outcome(warmed, state) == _outcome(rs1_solve, quad, MATRIX_2X2, state)
 
 
 # -- RS2 --------------------------------------------------------------------------------
