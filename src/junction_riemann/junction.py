@@ -4,6 +4,14 @@ A node joins ``n`` incoming arcs (modelled on ]-inf, 0]) and ``m`` outgoing arcs
 (modelled on [0, +inf[). States are vectors of n+m densities, incoming arcs first.
 A solver maps an initial state to a :class:`TraceSolution`: the node-side boundary
 traces, their fluxes, and the balance/admissibility verdicts.
+
+Each density is checked once, where it enters: the public :class:`RiemannState`
+constructor and :meth:`TraceSolution.from_traces` check every density they get.
+Densities already proved to be floats in [0, 1], where a repeat check could only
+return what it was given, build their state with the unchecked
+``RiemannState._proved``: the Godunov step's node cells, and the traces of
+:meth:`TraceSolution.from_fluxes` (the checked datum, sigma or ``invert``'s
+clamped output).
 """
 
 from __future__ import annotations
@@ -58,6 +66,16 @@ class RiemannState:
                 f"expected {self.topology.total} densities, got {len(self.rho)}")
         clean = tuple([float(_check_density(r)) for r in self.rho])
         object.__setattr__(self, "rho", clean)
+
+    @staticmethod
+    def _proved(topology: NodeTopology, rho: tuple[float, ...]) -> "RiemannState":
+        """The state of ``rho``, a tuple of ``topology.total`` floats proved to lie
+        in [0, 1], without the public constructor's checks."""
+        state = object.__new__(RiemannState)
+        fields = state.__dict__
+        fields["topology"] = topology
+        fields["rho"] = rho
+        return state
 
     @property
     def incoming(self) -> tuple[float, ...]:
@@ -120,7 +138,9 @@ class TraceSolution:
         One pass over the arcs finds each trace as :func:`trace_in_from_flux` or
         :func:`trace_out_from_flux` does, its flux, and its admissibility. f(datum)
         is evaluated once per arc and is the flux of a kept trace; the verdicts are
-        those of :meth:`from_traces` on the same traces, bit for bit.
+        those of :meth:`from_traces` on the same traces, bit for bit. Every trace is
+        the checked datum, sigma or ``invert``'s clamped output, so the traces'
+        state is built unchecked.
         """
         n = initial.topology.n
         value = model._value
@@ -136,8 +156,8 @@ class TraceSolution:
                 ok = model.contains_trace_in(r, trace) if incoming \
                     else model.contains_trace_out(r, trace)
         fluxes = tuple(fluxes)
-        return TraceSolution(RiemannState(initial.topology, tuple(traces)), fluxes,
-                             _balanced(n, fluxes), ok)
+        return TraceSolution(RiemannState._proved(initial.topology, tuple(traces)),
+                             fluxes, _balanced(n, fluxes), ok)
 
     def to_json(self) -> dict:
         out = self.state.to_json()

@@ -22,6 +22,13 @@ identity, -0.0 included, on densities inside [0, 1]. :func:`step` and :func:`run
 share this kernel; :class:`ArcGrid` objects are built only for snapshots and
 results, each with one copy of its densities.
 
+Each density is checked once: by :class:`ArcGrid` and the run's copy into the flat
+array, then by the range check of the step that produced it. So the node cells go
+to the solver as an unchecked ``RiemannState``, and the snapshot and result grids
+are copies that skip ArcGrid's min, max and clip, which could only return the bits
+they were given (numpy's clip keeps -0.0). The inputs from outside stay checked:
+``dt`` against the CFL bound, ``steps`` and a finite ``t_end``.
+
 Mass bookkeeping: every step appends (t, total_mass, boundary_in, boundary_out) to a
 ledger, where the boundary columns are cumulative time-integrated outer-boundary
 fluxes, so total_mass(t) - total_mass(0) - (in - out) is the conservation drift.
@@ -35,6 +42,7 @@ and one for the whole ledger, which the result already holds in memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,6 +78,17 @@ class ArcGrid:
         _check_densities(arr)
         self.rho = np.clip(arr, 0.0, 1.0, out=arr)
 
+    @staticmethod
+    def _proved(orientation: str, dx: float, rho: np.ndarray) -> "ArcGrid":
+        """The grid of ``rho``, an array the caller owns whose densities are proved
+        to lie in [0, 1], without the public constructor's checks and clip."""
+        grid = object.__new__(ArcGrid)
+        fields = grid.__dict__
+        fields["orientation"] = orientation
+        fields["dx"] = dx
+        fields["rho"] = rho
+        return grid
+
     @property
     def cells(self) -> int:
         return int(self.rho.size)
@@ -100,8 +119,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise InputError(f"cfl must lie in (0, 1], got {self.cfl!r}")
-        if not self.t_end > 0.0:
-            raise InputError(f"t_end must be positive, got {self.t_end!r}")
+        if not 0.0 < self.t_end < math.inf:
+            raise InputError(f"t_end must be positive and finite, got {self.t_end!r}")
         if self.boundary != "extrapolate":
             raise InputError(
                 f"only 'extrapolate' outer boundaries are supported, "
@@ -176,6 +195,9 @@ class _FlatArcs:
         _check_densities(self.u)
         np.clip(self.u, 0.0, 1.0, out=self.u)
         self.first = first.tolist()
+        # when the arcs are all the same length: one row per arc, ghosts skipped
+        self.rows = self.u[:-1].reshape(len(grids), -1)[:, 1:] \
+            if (cells == cells[0]).all() else None
         self.ratio_dt = None
         self.ratio = np.zeros(size)
         self.node_cells = np.concatenate((last[:n], first[n:]))
@@ -188,9 +210,11 @@ class _FlatArcs:
     def advance(self, solver: SolverFn, dt: float) -> tuple[TraceSolution, float, float]:
         """One Godunov step; returns the node solution and the outer in/outflow."""
         u, n = self.u, self.topology.n
-        node = solver(RiemannState(self.topology, tuple(u[self.node_cells].tolist())))
+        node = solver(RiemannState._proved(self.topology,
+                                           tuple(u[self.node_cells].tolist())))
         sup = self.model._value(u, out=self.sup, work=self.dem)
         outer = sup[self.outer_cells]
+        outer_flux = outer.tolist()
         _demand_supply(self.model, u, self.dem, sup)
         # the interface fluxes overwrite the demands, their differences the supplies
         flux = np.minimum(self.dem[:-1], sup[1:], out=self.dem[:-1])
@@ -203,9 +227,9 @@ class _FlatArcs:
             _check_densities(u)
             np.clip(u, 0.0, RHO_MAX, out=u)
         inflow = outflow = 0.0
-        for value in outer[:n].tolist():
+        for value in outer_flux[:n]:
             inflow += value
-        for value in outer[n:].tolist():
+        for value in outer_flux[n:]:
             outflow += value
         return node, inflow, outflow
 
@@ -219,7 +243,14 @@ class _FlatArcs:
         return self.ratio
 
     def mass(self) -> float:
-        return sum(float(v.sum()) * dx for v, dx in zip(self.arcs, self.dx))
+        """Sum over the arcs of (cell sum) * dx. Each cell sum is the bits of
+        ``v.sum()``: equal arcs take one reduction along the rows of ``rows``,
+        ragged ones one reduction each."""
+        if self.rows is not None:
+            sums = np.add.reduce(self.rows, axis=1).tolist()
+        else:
+            sums = [float(np.add.reduce(v)) for v in self.arcs]
+        return sum([s * dx for s, dx in zip(sums, self.dx)])
 
     def close(self) -> None:
         """Free the work buffers before the final copies are made, so that a run
@@ -227,8 +258,9 @@ class _FlatArcs:
         self.dem = self.sup = self.ratio = None
 
     def grids(self) -> list[ArcGrid]:
-        return [ArcGrid(o, dx, v) for o, dx, v in zip(self.orientations, self.dx,
-                                                        self.arcs)]
+        """A copy of every arc's densities, each in its own grid."""
+        return [ArcGrid._proved(o, dx, v.copy())
+                for o, dx, v in zip(self.orientations, self.dx, self.arcs)]
 
 
 @dataclass
@@ -245,6 +277,8 @@ def _checked_dt(config: SimConfig, grids: Sequence[ArcGrid],
     dt_max = max_stable_dt(config.flux, grids)
     if dt is None:
         return config.cfl * dt_max
+    if not dt > 0.0:  # NaN too
+        raise StepSizeError(f"dt must be positive, got {dt!r}")
     if dt > dt_max * (1.0 + CFL_SLACK):
         raise StepSizeError(
             f"dt {dt!r} violates the CFL bound {dt_max!r} "
@@ -311,8 +345,12 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
     """Iterate the Godunov step until ``t_end`` (or a fixed step count).
 
     Snapshots are recorded at t=0, at the first step crossing each requested time,
-    and at the end. The ledger gains one row per step.
+    and at the end. The ledger gains one row per step. ``steps``, when given, is
+    a non-negative int.
     """
+    if steps is not None and (not isinstance(steps, (int, np.integer))
+                              or isinstance(steps, bool) or steps < 0):
+        raise InputError(f"steps must be a non-negative integer, got {steps!r}")
     arcs = _FlatArcs(config.flux, grids)
     dt_step = _checked_dt(config, grids, None)
     t = 0.0

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -90,6 +90,12 @@ class DistributionMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.rows, dtype=float)
+
+    @cached_property
+    def _in_n(self) -> bool:
+        """:func:`matrix_in_n` of the matrix, kept on the (immutable) matrix after
+        its first use, so rs1 certifies a matrix once, not on every solve."""
+        return matrix_in_n(self)
 
 
 @dataclass(frozen=True)
@@ -464,9 +470,14 @@ def project_capped_simplex(target: Sequence[float], caps: Sequence[float],
 # -- solvers ---------------------------------------------------------------------------
 
 def _caps(model: FluxModel, initial: RiemannState) -> list[FluxInterval]:
-    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order."""
-    n = initial.topology.n
-    return [model.demand(r) if l < n else model.supply(r)
+    """Each arc's demand (incoming) or supply (outgoing) interval, in arc order.
+
+    The cap is f(r) when ``(r <= sigma) == incoming`` and f_max otherwise, the
+    float that ``demand``/``supply`` return, without their second check of the
+    state's densities.
+    """
+    n, sigma, f_max, value = initial.topology.n, model.sigma, model.f_max, model._value
+    return [FluxInterval(float(value(r)) if (r <= sigma) == (l < n) else f_max)
             for l, r in enumerate(initial.rho)]
 
 
@@ -484,10 +495,12 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     """Maximize total incoming flux routed through the distribution matrix.
 
     ``warm`` carries the LP's optimal basis between calls (see
-    :func:`lp_maximize_box_polytope`); it changes no output bit.
+    :func:`lp_maximize_box_polytope`); it changes no output bit. The matrix's
+    shape is checked on every call, its class verdict once per matrix.
     """
     topo = initial.topology
-    if not matrix_in_n(matrix, topo):
+    _check_matrix_shape(matrix, topo)
+    if not matrix._in_n:
         raise InvalidMatrixError(
             "matrix outside the uniqueness class (no unique flux maximizer)")
     n = topo.n

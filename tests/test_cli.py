@@ -420,6 +420,43 @@ SIM_DOC = {"state": {"n": 1, "m": 1, "rho": [0.75, 0.25]},
            "cells": 20, "t_end": 0.05, "cfl": 0.5, "snapshots": [0.02]}
 
 
+def test_simulate_writes_one_summary_text_to_file_and_stdout(tmp_path, capsys,
+                                                              monkeypatch):
+    path, prefix = write_doc(tmp_path, "d.json", SIM_DOC), str(tmp_path / "sim")
+    calls = []
+    for name in ("dump", "dumps"):
+        encode = getattr(json, name)
+        monkeypatch.setattr(cli.json, name, lambda *a, encode=encode, **k:
+                            calls.append(1) or encode(*a, **k))
+    assert main(["simulate", "--input", path, "--output", prefix]) == 0
+    assert len(calls) == 1
+    with open(prefix + "_summary.json", newline="") as fh:
+        assert fh.read() == capsys.readouterr().out
+
+
+def test_simulate_with_a_huge_t_end_exits_1(tmp_path):
+    # 1e300 / dt steps: without the step limit the command would not end
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = write_doc(tmp_path, "d.json", dict(SIM_DOC, t_end=1e300))
+    done = subprocess.run([sys.executable, "-m", "junction_riemann", "simulate",
+                           "--input", path], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("input error: 't_end' 1e+300 needs more than")
+    assert done.stdout == ""
+
+
+def test_simulate_step_limit(tmp_path, capsys, monkeypatch):
+    # SIM_DOC takes dt = 0.5 * (1 / 20) / 4 = 1/160, so t_end = 0.05 is 8 steps
+    monkeypatch.setattr(cli, "MAX_STEPS", 10)
+    assert main(["simulate", "--input", write_doc(tmp_path, "d.json", SIM_DOC)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 8
+    doc = dict(SIM_DOC, t_end=0.1)
+    assert main(["simulate", "--input", write_doc(tmp_path, "d.json", doc)]) == 1
+    assert capsys.readouterr().err == \
+        "input error: 't_end' 0.1 needs more than 10 time steps\n"
+
+
 @pytest.mark.parametrize("change", [
     {"cells": "abc"}, {"cells": 1e20}, {"length": "x"}, {"initial": ["a", "b"]},
     {"cfl": [1]}, {"snapshots": 5}, "missing output directory",

@@ -130,6 +130,9 @@ def test_sim_config_validation(quad):
         SimConfig(quad, solver, cfl=1.2)
     with pytest.raises(InputError):
         SimConfig(quad, solver, t_end=0.0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(InputError, match="t_end"):
+            SimConfig(quad, solver, t_end=t_end)
     with pytest.raises(InputError):
         SimConfig(quad, solver, boundary="periodic")
 
@@ -187,6 +190,24 @@ def test_step_rejects_oversized_dt(quad):
     with pytest.raises(StepSizeError):
         step(grids, config, dt=bound * 1.5)
     step(grids, config, dt=bound)
+
+
+@pytest.mark.parametrize("dt", [-0.01, 0.0, -0.0, math.nan])
+def test_step_rejects_a_dt_that_is_not_positive(quad, dt):
+    config = SimConfig(quad, RS1x1Solver(quad))
+    grids = make_grids(T11, [0.6, 0.2], cells=20)
+    with pytest.raises(StepSizeError, match="positive"):
+        step(grids, config, dt=dt)
+
+
+@pytest.mark.parametrize("steps", [2.5, -3, True, "3"])
+def test_run_rejects_a_step_count_that_is_not_a_non_negative_int(quad, steps):
+    config = SimConfig(quad, RS1x1Solver(quad))
+    grids = make_grids(T11, [0.6, 0.2], cells=20)
+    with pytest.raises(InputError, match="steps"):
+        run(config, grids, steps=steps)
+    assert len(run(config, grids, steps=np.int64(3)).ledger) == 4
+    assert len(run(config, grids, steps=0).ledger) == 1
 
 
 def test_step_mass_identity_per_step(quad):
@@ -307,14 +328,29 @@ def _kernel_solvers(model, topo, rng):
     return solvers
 
 
-def _kernel_grids(topo, rng):
-    """Arcs of different cell counts, each a few constant blocks plus noise."""
+def _kernel_grids(topo, rng, cells=None):
+    """Arcs of different cell counts, or all of ``cells`` cells, each a few constant
+    blocks plus noise."""
     profiles = []
     for _ in range(topo.total):
-        cells = int(rng.integers(6, 40))
-        blocks = np.repeat(rng.uniform(0.05, 0.95, 3), -(-cells // 3))[:cells]
-        profiles.append(np.clip(blocks + rng.uniform(-0.05, 0.05, cells), 0.0, 1.0))
+        count = int(rng.integers(6, 40)) if cells is None else cells
+        blocks = np.repeat(rng.uniform(0.05, 0.95, 3), -(-count // 3))[:count]
+        profiles.append(np.clip(blocks + rng.uniform(-0.05, 0.05, count), 0.0, 1.0))
     return make_grids(topo, profiles, length=1.0)
+
+
+def _uniform_layouts(topo, rng):
+    """Grids whose arcs all have the same cell count (25, and the smallest, 2), with
+    -0.0 in every third cell, and the last arc -0.0 throughout on the 2-cell grid."""
+    layouts = []
+    for cells in (25, 2):
+        profiles = [g.rho.copy() for g in _kernel_grids(topo, rng, cells)]
+        for profile in profiles:
+            profile[::3] = -0.0
+        if cells == 2:
+            profiles[-1][:] = -0.0
+        layouts.append(make_grids(topo, profiles, length=1.0))
+    return layouts
 
 
 @pytest.mark.parametrize("n,m", KERNEL_TOPOLOGIES)
@@ -344,20 +380,26 @@ def test_run_matches_per_arc_reference(any_model, n, m):
 def test_run_is_bit_identical_to_the_per_arc_reference(any_model, n, m):
     # dt as the kernel takes it: 0.9 * min(dx) / speed rounds differently from
     # 0.9 * (min(dx) / speed) for the tabulated speed 3.8000000000000003
+    # the ragged layout sums the arcs one by one, the uniform ones by rows
     topo = NodeTopology(n, m)
     rng = default_rng(700 + 10 * n + m)
-    grids = _kernel_grids(topo, rng)
-    for name, solver in _kernel_solvers(any_model, topo, rng).items():
-        config = SimConfig(any_model, solver, cfl=0.9)
-        result = run(config, grids, steps=KERNEL_STEPS)
-        dt = 0.9 * max_stable_dt(any_model, grids)
-        rhos, gammas, ledger = godunov_reference(
-            any_model, lambda rho: solver(RiemannState(topo, rho)).gamma,
-            [g.rho for g in grids], [g.dx for g in grids], n, dt, KERNEL_STEPS)
-        assert bits([g.rho.tolist() for g in result.grids]) == \
-            bits([r.tolist() for r in rhos]), name
-        assert bits([node.gamma for _, node in result.node_history]) == bits(gammas), name
-        assert bits(result.ledger) == bits(ledger), name
+    ragged = _kernel_grids(topo, rng)
+    solvers = _kernel_solvers(any_model, topo, rng)
+    for grids in [ragged, *_uniform_layouts(topo, rng)]:
+        uniform = len({g.cells for g in grids}) == 1
+        assert (_FlatArcs(any_model, grids).rows is not None) == uniform
+        for name, solver in solvers.items():
+            config = SimConfig(any_model, solver, cfl=0.9)
+            result = run(config, grids, steps=KERNEL_STEPS)
+            dt = 0.9 * max_stable_dt(any_model, grids)
+            rhos, gammas, ledger = godunov_reference(
+                any_model, lambda rho: solver(RiemannState(topo, rho)).gamma,
+                [g.rho for g in grids], [g.dx for g in grids], n, dt, KERNEL_STEPS)
+            assert bits([g.rho.tolist() for g in result.grids]) == \
+                bits([r.tolist() for r in rhos]), name
+            assert bits([node.gamma for _, node in result.node_history]) \
+                == bits(gammas), name
+            assert bits(result.ledger) == bits(ledger), name
 
 
 @pytest.mark.parametrize("n,m", KERNEL_TOPOLOGIES)
@@ -375,6 +417,49 @@ def test_repeated_step_equals_run(any_model, n, m):
             assert outcome.node.gamma == node.gamma, name
         for got, want in zip(stepped, result.grids):
             assert np.array_equal(got.rho, want.rho), name
+
+
+def test_result_and_snapshot_grids_are_independent_copies(quad):
+    config = SimConfig(quad, RS1Solver(quad, MATRIX_2X2), cfl=0.5, t_end=0.05)
+    grids = make_grids(T22, [0.3, 0.8, 0.6, 0.1], cells=20)
+    inputs = [g.rho.copy() for g in grids]
+    result = run(config, grids, snapshot_times=[0.02])
+    want = _run_bits(result)
+    every = result.grids + [g for _, snapshot in result.snapshots for g in snapshot]
+    assert len(every) == 4 + 4 * 3
+    for k, grid in enumerate(every):
+        others = [g.rho.copy() for g in every]
+        grid.rho[:] = 0.125
+        assert all(np.array_equal(g.rho, r)
+                   for j, (g, r) in enumerate(zip(every, others)) if j != k)
+    assert all(np.array_equal(g.rho, r) for g, r in zip(grids, inputs))
+    assert _run_bits(run(config, grids, snapshot_times=[0.02])) == want
+
+
+def test_a_2x2_rs1_step_checks_at_most_8_densities(quad, monkeypatch):
+    """Each density is checked once where it enters. What a 2x2 rs1 step still
+    checks is contains_trace_in/_out's two arguments on each of the four arcs,
+    and the datum once more inside ``tau`` on the calls that need it."""
+    from junction_riemann import flux, junction, netsim, solvers
+    calls = {"check": 0, "tau": 0}
+    check, tau = flux._check_density, flux.FluxModel.tau
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def counted_tau(self, rho):
+        calls["tau"] += 1
+        return tau(self, rho)
+
+    for module in (flux, junction, netsim, solvers):
+        if hasattr(module, "_check_density"):
+            monkeypatch.setattr(module, "_check_density", counted_check)
+    monkeypatch.setattr(flux.FluxModel, "tau", counted_tau)
+    steps = 200
+    config = SimConfig(quad, RS1Solver(quad, MATRIX_2X2), cfl=0.5)
+    run(config, make_grids(T22, [0.3, 0.8, 0.6, 0.1], cells=50), steps=steps)
+    assert calls["check"] - calls["tau"] <= 8 * steps
 
 
 def _run_bits(result: SimResult):

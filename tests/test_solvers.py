@@ -140,6 +140,29 @@ def test_matrix_in_n_matches_span_oracle():
     assert any(verdicts) and not all(verdicts)
 
 
+def test_rs1_certifies_its_matrix_once(quad, monkeypatch):
+    calls = []
+    in_n = solvers_module.matrix_in_n
+    monkeypatch.setattr(solvers_module, "matrix_in_n",
+                        lambda matrix: calls.append(matrix) or in_n(matrix))
+    matrix = DistributionMatrix.from_rows([[0.3, 0.45], [0.7, 0.55]])
+    handle = RS1Solver(quad, matrix)
+    state = RiemannState(T22, (0.3, 0.8, 0.6, 0.1))
+    for _ in range(5):
+        assert bits(handle(state)) == bits(rs1_solve(quad, matrix, state))
+    assert len(calls) == 1
+    # the shape is still checked on every call, and a failing verdict raises on
+    # every call, not only on the one that computed it
+    wide = RiemannState(NodeTopology(2, 3), (0.3, 0.8, 0.6, 0.1, 0.2))
+    doubled = DistributionMatrix(A_DOUBLED.rows)
+    for _ in range(3):
+        with pytest.raises(InvalidMatrixError, match="node is 2x3"):
+            rs1_solve(quad, matrix, wide)
+        with pytest.raises(InvalidMatrixError, match="uniqueness class"):
+            rs1_solve(quad, doubled, state)
+    assert len(calls) == 2
+
+
 # -- the LP engine ----------------------------------------------------------------------
 
 
