@@ -9,6 +9,8 @@ polytope, and a Godunov scheme that couples the arcs through a solver.
 
 from __future__ import annotations
 
+import types
+
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -100,84 +102,8 @@ from .netsim import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArcGrid",
-    "BALANCE_TOL",
-    "BOUNDARY_EPS",
-    "CrossingCapacity",
-    "DECREASING",
-    "DegeneracyError",
-    "DistributionMatrix",
-    "DomainError",
-    "EntropyReport",
-    "EquilibriumClassification",
-    "FaceMismatchError",
-    "FaceSampleReport",
-    "FluxInterval",
-    "FluxModel",
-    "INCREASING",
-    "InadmissibleFluxError",
-    "InfeasibleFluxError",
-    "InputError",
-    "InvalidMatrixError",
-    "JunctionError",
-    "KEEP_TOL",
-    "NodeTopology",
-    "PreconditionError",
-    "QUADRATIC",
-    "RHO_MAX",
-    "RS1Solver",
-    "RS1x1Solver",
-    "RS2Solver",
-    "RS3Solver",
-    "RSE12x2Solver",
-    "RestrictedEntropy",
-    "RiemannState",
-    "SOLVER_NAMES",
-    "SimConfig",
-    "SimResult",
-    "StepResult",
-    "StepSizeError",
-    "ThetaWeights",
-    "TopologyError",
-    "TraceSolution",
-    "UnbalancedStateError",
-    "check_E1",
-    "check_E2",
-    "check_consistency",
-    "check_flux_balance",
-    "classify_2x2",
-    "default_rng",
-    "entropy_candidates",
-    "entropy_flux",
-    "face_active_set",
-    "face_entropy_closed_form",
-    "face_objective_equivalence",
-    "flux_imbalance",
-    "godunov_interface_flux",
-    "is_equilibrium",
-    "lp_maximize_box_polytope",
-    "make_grids",
-    "matrix_in_n",
-    "max_stable_dt",
-    "project_capped_simplex",
-    "random_balanced_state",
-    "random_state",
-    "restricted_entropy_g",
-    "rs1_solve",
-    "rs2_solve",
-    "rs3_solve",
-    "rs_1x1_solve",
-    "rs_e1_2x2_solve",
-    "run",
-    "solver_from_config",
-    "step",
-    "summary_json",
-    "topology_of",
-    "total_mass",
-    "trace_in_from_flux",
-    "trace_out_from_flux",
-    "write_mass_csv",
-    "write_snapshots_csv",
-    "__version__",
-]
+#: every public name imported above (no module, no ``annotations`` feature), then
+#: ``__version__``
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and name != "annotations"
+           and not isinstance(value, types.ModuleType)] + ["__version__"]

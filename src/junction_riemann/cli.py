@@ -27,8 +27,8 @@ from .entropy import check_E1, check_E2, classify_2x2, entropy_flux, \
 from .errors import InputError, PreconditionError
 from .flux import FluxModel, _parameter
 from .junction import RiemannState
-from .netsim import SimConfig, make_grids, max_stable_dt, run, summary_json, \
-    write_mass_csv, write_snapshots_csv
+from .netsim import SimConfig, make_grids, run, summary_json, write_mass_csv, \
+    write_snapshots_csv
 from .sampling import default_rng
 from .solvers import rs1_solve, rs2_solve, rs3_solve, rs_e1_2x2_solve, \
     solver_from_config, CrossingCapacity, DistributionMatrix, ThetaWeights
@@ -37,9 +37,6 @@ from .tolerances import REPRODUCE_TIGHT_TOL, REPRODUCE_TOL
 #: the most cells ``simulate`` builds from uniform (scalar) profiles, summed over the
 #: arcs: a step keeps a few float arrays of this length, about 80 MB each.
 MAX_CELLS = 10_000_000
-#: the most time steps ``simulate`` runs: the ledger and the node history keep one
-#: row per step, about 700 B at a 2x2 node, so 10^6 steps hold about 0.7 GB.
-MAX_STEPS = 1_000_000
 #: the most face points ``entropy`` samples; the sampler makes up to 500 tries for each.
 MAX_FACE_SAMPLES = 10_000
 
@@ -152,7 +149,7 @@ def _load_node(args, keep: str | None = None) -> tuple[dict, FluxModel, RiemannS
 
 def build_solver(doc: dict, args, model: FluxModel, topology):
     config = None
-    if getattr(args, "solver", None):
+    if args.solver:
         config = _read_json(args.solver, "solver file")
     elif "solver" in doc:
         config = doc["solver"]
@@ -200,7 +197,7 @@ def cmd_solve(args) -> int:
 def cmd_entropy(args) -> int:
     doc, model, state = _load_node(args)
     options = {} if args.tolerance is None else {"tol": args.tolerance}
-    if getattr(args, "solver", None) or "solver" in doc:
+    if args.solver or "solver" in doc:
         solver = build_solver(doc, args, model, state.topology)
         traces = solver(state).state
     else:
@@ -298,11 +295,6 @@ def cmd_simulate(args) -> int:
     config = SimConfig(flux=model, solver=solver, cfl=sim["cfl"], t_end=sim["t_end"])
     grids = make_grids(state.topology, sim["initial"], cells=sim["cells"],
                        length=sim["length"])
-    # ceil(t_end / dt) > MAX_STEPS exactly when t_end / dt > MAX_STEPS, which an
-    # overflow to inf cannot turn into an error of its own
-    if config.t_end / (config.cfl * max_stable_dt(model, grids)) > MAX_STEPS:
-        raise InputError(f"'t_end' {config.t_end!r} needs more than {MAX_STEPS} "
-                         f"time steps")
     result = run(config, grids, snapshot_times=sim["snapshots"])
     text = json.dumps(summary_json(result), indent=2) + "\n"
     if args.output:

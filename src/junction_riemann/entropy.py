@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (FaceMismatchError, InputError, InvalidMatrixError,
                      TopologyError, UnbalancedStateError)
 from .flux import FluxModel, _check_density
-from .junction import NodeTopology, RiemannState, TraceSolution
+from .junction import NodeTopology, RiemannState, TraceSolution, flux_imbalance
 from .sampling import default_rng
 from .solvers import DistributionMatrix, _caps, _check_matrix_shape, matrix_in_n
 from .tolerances import (BALANCE_TOL, CLASSIFY_EQ_TOL, ENTROPY_TOL, FACE_MARGIN,
@@ -44,7 +44,8 @@ from .tolerances import (BALANCE_TOL, CLASSIFY_EQ_TOL, ENTROPY_TOL, FACE_MARGIN,
 def entropy_flux(model: FluxModel, state: RiemannState, k: float) -> float:
     """The node entropy functional F(rho, k); no balance requirement."""
     k = _check_density(k, "entropy constant")
-    return _entropy_at(model, state, _trace_fluxes(model, state), k)
+    _, ins, outs = _sides(state, _trace_fluxes(model, state))
+    return _entropy_sum(ins, outs, k, float(model._value(k)))
 
 
 def _trace_fluxes(model: FluxModel, state: RiemannState) -> list[float]:
@@ -72,13 +73,6 @@ def _entropy_sum(ins, outs, k: float, fk: float) -> float:
         if r != k:
             total += fk - f if r > k else f - fk
     return total
-
-
-def _entropy_at(model: FluxModel, state: RiemannState, fr: Sequence[float],
-                k: float) -> float:
-    """F(rho, k) from the trace fluxes ``fr``, for a k already in [0, 1]."""
-    _, ins, outs = _sides(state, fr)
-    return _entropy_sum(ins, outs, k, float(model._value(k)))
 
 
 def entropy_candidates(model: FluxModel,
@@ -131,8 +125,7 @@ class EntropyReport:
 def _require_balanced(model: FluxModel, state: RiemannState) -> list[float]:
     """The trace fluxes f(rho_l), after checking that they balance."""
     gamma = _trace_fluxes(model, state)
-    n = state.topology.n
-    gap = sum(gamma[:n]) - sum(gamma[n:])
+    gap = flux_imbalance(state.topology, gamma)
     if abs(gap) > BALANCE_TOL:
         raise UnbalancedStateError(f"trace fluxes do not balance (gap {gap!r})")
     return gamma
@@ -161,8 +154,8 @@ def check_E2(model: FluxModel, state: RiemannState) -> EntropyReport:
     F(rho, sigma) = (n - m) f_max, and one whose traces all lie at or above sigma
     has (m - n) f_max, whatever solver produced it; one of the two is negative.
     """
-    fr = _require_balanced(model, state)
-    at_sigma = _entropy_at(model, state, fr, model.sigma)
+    _, ins, outs = _sides(state, _require_balanced(model, state))
+    at_sigma = _entropy_sum(ins, outs, model.sigma, float(model._value(model.sigma)))
     return EntropyReport(min_value=None, argmin_k=None, candidates=(),
                          satisfied_E1=None, value_at_sigma=at_sigma,
                          satisfied_E2=at_sigma >= -ENTROPY_TOL)

@@ -126,7 +126,8 @@ class TraceSolution:
         rho0, rho = initial.rho, state.rho
         ok = all(map(model.contains_trace_in, rho0[:n], rho[:n])) \
             and all(map(model.contains_trace_out, rho0[n:], rho[n:]))
-        return TraceSolution(state, gamma, _balanced(n, gamma), ok)
+        return TraceSolution(state, gamma,
+                             abs(flux_imbalance(topo, gamma)) <= BALANCE_TOL, ok)
 
     @staticmethod
     def from_fluxes(model: FluxModel, initial: RiemannState,
@@ -142,7 +143,8 @@ class TraceSolution:
         the checked datum, sigma or ``invert``'s clamped output, so the traces'
         state is built unchecked.
         """
-        n = initial.topology.n
+        topo = initial.topology
+        n = topo.n
         value = model._value
         traces, fluxes = [], []
         ok = True
@@ -156,8 +158,8 @@ class TraceSolution:
                 ok = model.contains_trace_in(r, trace) if incoming \
                     else model.contains_trace_out(r, trace)
         fluxes = tuple(fluxes)
-        return TraceSolution(RiemannState._proved(initial.topology, tuple(traces)),
-                             fluxes, _balanced(n, fluxes), ok)
+        return TraceSolution(RiemannState._proved(topo, tuple(traces)), fluxes,
+                             abs(flux_imbalance(topo, fluxes)) <= BALANCE_TOL, ok)
 
     def to_json(self) -> dict:
         out = self.state.to_json()
@@ -168,11 +170,6 @@ class TraceSolution:
 
 #: anything that maps a node state to a trace solution, such as a solver handle.
 SolverFn = Callable[[RiemannState], TraceSolution]
-
-
-def _balanced(n: int, gamma: tuple[float, ...]) -> bool:
-    """Whether the first ``n`` fluxes and the rest agree within ``BALANCE_TOL``."""
-    return abs(sum(gamma[:n]) - sum(gamma[n:])) <= BALANCE_TOL
 
 
 def check_flux_balance(solution: TraceSolution) -> bool:

@@ -27,7 +27,8 @@ array, then by the range check of the step that produced it. So the node cells g
 to the solver as an unchecked ``RiemannState``, and the snapshot and result grids
 are copies that skip ArcGrid's min, max and clip, which could only return the bits
 they were given (numpy's clip keeps -0.0). The inputs from outside stay checked:
-``dt`` against the CFL bound, ``steps`` and a finite ``t_end``.
+``dt`` against the CFL bound, ``steps``, and a finite ``t_end`` that needs at most
+:data:`MAX_STEPS` steps.
 
 Mass bookkeeping: every step appends (t, total_mass, boundary_in, boundary_out) to a
 ledger, where the boundary columns are cumulative time-integrated outer-boundary
@@ -55,6 +56,10 @@ from .tolerances import CFL_SLACK, TIME_TOL
 
 INCOMING = "incoming"
 OUTGOING = "outgoing"
+#: the most time steps :func:`run` takes to reach ``t_end``: the ledger and the node
+#: history keep one row per step, about 700 B at a 2x2 node, so 10^6 steps hold
+#: about 0.7 GB.
+MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -114,17 +119,12 @@ class SimConfig:
     solver: SolverFn
     cfl: float = 0.5
     t_end: float = 1.0
-    boundary: str = "extrapolate"
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise InputError(f"cfl must lie in (0, 1], got {self.cfl!r}")
         if not 0.0 < self.t_end < math.inf:
             raise InputError(f"t_end must be positive and finite, got {self.t_end!r}")
-        if self.boundary != "extrapolate":
-            raise InputError(
-                f"only 'extrapolate' outer boundaries are supported, "
-                f"got {self.boundary!r}")
 
 
 def _demand_supply(model: FluxModel, rho: np.ndarray, dem: np.ndarray,
@@ -346,13 +346,19 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
 
     Snapshots are recorded at t=0, at the first step crossing each requested time,
     and at the end. The ledger gains one row per step. ``steps``, when given, is
-    a non-negative int.
+    a non-negative int; without it, a ``t_end`` that needs more than
+    :data:`MAX_STEPS` steps raises InputError.
     """
     if steps is not None and (not isinstance(steps, (int, np.integer))
                               or isinstance(steps, bool) or steps < 0):
         raise InputError(f"steps must be a non-negative integer, got {steps!r}")
     arcs = _FlatArcs(config.flux, grids)
     dt_step = _checked_dt(config, grids, None)
+    # ceil(t_end / dt) > MAX_STEPS exactly when t_end / dt > MAX_STEPS, which an
+    # overflow to inf cannot turn into an error of its own
+    if steps is None and config.t_end / dt_step > MAX_STEPS:
+        raise InputError(f"'t_end' {config.t_end!r} needs more than {MAX_STEPS} "
+                         f"time steps")
     t = 0.0
     ledger = [(0.0, arcs.mass(), 0.0, 0.0)]
     snapshots = [(0.0, arcs.grids())]

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -665,39 +666,24 @@ class RS1Solver:
         return rs1_solve(self.model, self.matrix, state, self.basis)
 
 
-@dataclass(frozen=True)
-class RS2Solver:
-    model: FluxModel
-    theta: ThetaWeights
+def _handle(name: str, solve: str, *params: str) -> type:
+    """A frozen dataclass ``name`` of ``model`` and ``params`` whose call on a state
+    is ``solve(model, *params, state)``. Like :class:`RS1Solver`, it looks the
+    module function ``solve`` up by name on every call."""
+    fields = attrgetter("model", *params) if params else lambda h: (h.model,)
+    scope = globals()
 
     def __call__(self, state: RiemannState) -> TraceSolution:
-        return rs2_solve(self.model, self.theta, state)
+        return scope[solve](*fields(self), state)
+
+    return make_dataclass(name, ["model", *params], frozen=True,
+                          namespace={"__module__": __name__, "__call__": __call__})
 
 
-@dataclass(frozen=True)
-class RS3Solver:
-    model: FluxModel
-    theta: ThetaWeights
-    cap: CrossingCapacity
-
-    def __call__(self, state: RiemannState) -> TraceSolution:
-        return rs3_solve(self.model, self.theta, self.cap, state)
-
-
-@dataclass(frozen=True)
-class RS1x1Solver:
-    model: FluxModel
-
-    def __call__(self, state: RiemannState) -> TraceSolution:
-        return rs_1x1_solve(self.model, state)
-
-
-@dataclass(frozen=True)
-class RSE12x2Solver:
-    model: FluxModel
-
-    def __call__(self, state: RiemannState) -> TraceSolution:
-        return rs_e1_2x2_solve(self.model, state)
+RS2Solver = _handle("RS2Solver", "rs2_solve", "theta")
+RS3Solver = _handle("RS3Solver", "rs3_solve", "theta", "cap")
+RS1x1Solver = _handle("RS1x1Solver", "rs_1x1_solve")
+RSE12x2Solver = _handle("RSE12x2Solver", "rs_e1_2x2_solve")
 
 
 SOLVER_NAMES = ("rs1", "rs2", "rs3", "rs_1x1", "rs_e1_2x2")

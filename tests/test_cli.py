@@ -22,7 +22,7 @@ from junction_riemann import (
     classify_2x2,
     rs1_solve,
 )
-from junction_riemann import cli
+from junction_riemann import cli, netsim
 from junction_riemann.cli import eval_expr, format_float, main, resolve_numbers
 
 SQ = math.sqrt
@@ -448,7 +448,7 @@ def test_simulate_with_a_huge_t_end_exits_1(tmp_path):
 
 def test_simulate_step_limit(tmp_path, capsys, monkeypatch):
     # SIM_DOC takes dt = 0.5 * (1 / 20) / 4 = 1/160, so t_end = 0.05 is 8 steps
-    monkeypatch.setattr(cli, "MAX_STEPS", 10)
+    monkeypatch.setattr(netsim, "MAX_STEPS", 10)
     assert main(["simulate", "--input", write_doc(tmp_path, "d.json", SIM_DOC)]) == 0
     assert json.loads(capsys.readouterr().out)["steps"] == 8
     doc = dict(SIM_DOC, t_end=0.1)

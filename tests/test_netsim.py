@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from junction_riemann import (
     write_mass_csv,
     write_snapshots_csv,
 )
+from junction_riemann import netsim
 from junction_riemann.netsim import _FlatArcs
 from junction_riemann.tolerances import DENSITY_SLACK
 from oracles import (
@@ -133,7 +137,8 @@ def test_sim_config_validation(quad):
     for t_end in (math.inf, math.nan):
         with pytest.raises(InputError, match="t_end"):
             SimConfig(quad, solver, t_end=t_end)
-    with pytest.raises(InputError):
+    # the outer boundary is always zero-order extrapolation: there is no option
+    with pytest.raises(TypeError):
         SimConfig(quad, solver, boundary="periodic")
 
 
@@ -208,6 +213,40 @@ def test_run_rejects_a_step_count_that_is_not_a_non_negative_int(quad, steps):
         run(config, grids, steps=steps)
     assert len(run(config, grids, steps=np.int64(3)).ledger) == 4
     assert len(run(config, grids, steps=0).ledger) == 1
+
+
+HUGE_T_END = """
+from junction_riemann import (FluxModel, InputError, NodeTopology, RS1x1Solver,
+                              SimConfig, make_grids, run)
+q = FluxModel.quadratic()
+try:
+    run(SimConfig(q, RS1x1Solver(q), t_end=1e300),
+        make_grids(NodeTopology(1, 1), [0.6, 0.2], cells=20))
+except InputError as exc:
+    print(exc)
+"""
+
+
+def test_run_refuses_a_t_end_past_the_step_limit():
+    # 1e300 / dt steps: without the step limit the run would not end, so it runs in
+    # a child process with a timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(netsim.__file__)))
+    done = subprocess.run([sys.executable, "-c", HUGE_T_END], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "'t_end' 1e+300 needs more than 1000000 time steps\n"
+
+
+def test_run_step_limit(quad, monkeypatch):
+    # 20 cells per arc take dt = 0.5 * (1 / 20) / 4 = 1/160, so t_end = 0.05 is 8 steps
+    monkeypatch.setattr(netsim, "MAX_STEPS", 10)
+    grids = make_grids(T11, [0.6, 0.2], cells=20)
+    assert len(run(SimConfig(quad, RS1x1Solver(quad), t_end=0.05), grids).ledger) == 9
+    long = SimConfig(quad, RS1x1Solver(quad), t_end=0.1)
+    with pytest.raises(InputError, match="needs more than 10 time steps"):
+        run(long, grids)
+    # a fixed step count ignores t_end and the limit
+    assert len(run(long, grids, steps=16).ledger) == 17
 
 
 def test_step_mass_identity_per_step(quad):

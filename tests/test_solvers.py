@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -854,6 +855,85 @@ def test_solver_from_config_errors(quad):
         solver_from_config(quad, {"solver": "rs_1x1"}, T22)
     with pytest.raises(InputError):
         solver_from_config(quad, {"solver": "rs2", "theta": [1.0]}, T22)
+
+
+# -- solver handles ----------------------------------------------------------------------
+
+HANDLE_FIELDS = {RS1Solver: ("model", "matrix"), RS2Solver: ("model", "theta"),
+                 RS3Solver: ("model", "theta", "cap"), RS1x1Solver: ("model",),
+                 RSE12x2Solver: ("model",)}
+
+
+def _handle_cases(model):
+    """(handle, the solve it must match, topology) per handle class; theta and the
+    crossing capacity bind on some data, so swapping them changes the output."""
+    theta = ThetaWeights((3 / 4, 1 / 4), (1 / 3, 2 / 3))
+    cap = CrossingCapacity(0.7 * model.f_max)
+    return [
+        (RS1Solver(model, MATRIX_2X2),
+         lambda state: rs1_solve(model, MATRIX_2X2, state), T22),
+        (RS2Solver(model, theta), lambda state: rs2_solve(model, theta, state), T22),
+        (RS3Solver(model, theta, cap),
+         lambda state: rs3_solve(model, theta, cap, state), T22),
+        (RS1x1Solver(model), lambda state: rs_1x1_solve(model, state), T11),
+        (RSE12x2Solver(model), lambda state: rs_e1_2x2_solve(model, state), T22),
+    ]
+
+
+def _solution_bits(solution: TraceSolution):
+    return bits([solution.state.rho, solution.gamma, solution.balanced,
+                 solution.admissible])
+
+
+def test_handles_are_frozen_dataclasses_of_their_parameters(quad):
+    state = RiemannState(T22, (0.75, 0.125, 0.9, 0.1))
+    for handle, _, _ in _handle_cases(quad):
+        cls = type(handle)
+        assert cls.__name__ == cls.__qualname__
+        assert getattr(solvers_module, cls.__name__) is cls
+        assert cls.__module__ == "junction_riemann.solvers"
+        names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+        assert names == HANDLE_FIELDS[cls]
+        # positional construction from the fields, equality and hashing by field;
+        # a FluxModel holds its parameters in a dict and does not hash, so the hash
+        # is taken with a hashable stand-in for the model
+        params = [getattr(handle, name) for name in names[1:]]
+        again = cls(quad, *params)
+        assert isinstance(again, cls) and again == handle
+        assert hash(cls("model", *params)) == hash(cls("model", *params))
+        for name in [f.name for f in dataclasses.fields(cls)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(handle, name, None)
+    # rs1's held basis takes no part in equality or hashing
+    warm, cold = RS1Solver(quad, MATRIX_2X2), RS1Solver(quad, MATRIX_2X2)
+    warm(state)
+    assert warm.basis != cold.basis and warm == cold
+    warm, cold = RS1Solver("model", MATRIX_2X2), RS1Solver("model", MATRIX_2X2)
+    warm.basis[0] = "held"
+    assert warm == cold and hash(warm) == hash(cold)
+    theta = ThetaWeights.uniform(T22)
+    assert RS2Solver(quad, theta) != RS3Solver(quad, theta, CrossingCapacity(1.0))
+    assert RS2Solver(quad, theta) != RS2Solver(quad, ThetaWeights((0.5, 0.5),
+                                                                 (0.25, 0.75)))
+    assert RS1x1Solver(quad) != RSE12x2Solver(quad)
+
+
+def test_each_handle_returns_the_bits_of_its_solve(any_model):
+    rng = default_rng(7700)
+    special = [0.0, -0.0, 1.0, any_model.sigma]
+    differs = 0
+    for handle, solve, topo in _handle_cases(any_model):
+        for _ in range(50):
+            rho = [special[k] if k < len(special) else float(rng.uniform())
+                   for k in rng.integers(2 * len(special), size=topo.total)]
+            state = RiemannState(topo, tuple(rho))
+            got = _solution_bits(handle(state))
+            assert got == _solution_bits(solve(state))
+            if isinstance(handle, RS3Solver):
+                differs += got != _solution_bits(rs2_solve(any_model, handle.theta,
+                                                           state))
+    # the panel tells rs3 from rs2 with the same weights, so a lost cap would show
+    assert differs > 0
 
 
 # -- the shared tail of the flux-based solvers against the plain reference ------------
