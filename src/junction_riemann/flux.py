@@ -17,10 +17,13 @@ tabulated flux and its inverses use an exact one-point interpolation with
 A tabulated model builds both branch inverse tables once, when it is constructed, and
 keeps them out of ``to_json``; ``invert`` clamps with comparisons, which return the
 same objects as ``min``/``max`` would.
-Every method checks its densities, and the private ``_value`` is the one unchecked
-kernel: the Godunov step runs it in place on whole arrays, and code holding densities
-already checked (those of a ``RiemannState``) calls it directly. The check returns at
-once for a density in [0, 1], so a checked call costs little more than the kernel.
+Every public method checks its input and then runs an unchecked kernel, which code
+holding values already checked (the densities of a ``RiemannState``) calls directly:
+``_value`` on scalars or whole arrays (the Godunov step runs it in place),
+``_scalar``, a plain function of one float built once per model that holds each
+kind's scalar formula, ``_invert``, ``_tau`` and ``_contains_in``/``_contains_out``.
+The density check returns at once for a density in [0, 1], so a checked call costs
+little more than the kernel.
 Densities within ``DENSITY_SLACK`` of [0, 1] and fluxes within ``FLUX_SLACK`` of their
 range are clamped; these and ``BOUNDARY_EPS`` live in :mod:`junction_riemann.tolerances`.
 The constructors raise InputError for a parameter or sample that is not a finite
@@ -33,6 +36,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -55,6 +59,14 @@ class FluxInterval:
 
     def contains(self, gamma: float) -> bool:
         return -FLUX_SLACK <= gamma <= self.sup + FLUX_SLACK
+
+    @staticmethod
+    def _proved(sup: float) -> "FluxInterval":
+        """[0, sup] for a float ``sup`` proved to be >= 0, without the frozen
+        dataclass's ``__init__``."""
+        interval = object.__new__(FluxInterval)
+        interval.__dict__["sup"] = sup
+        return interval
 
 
 def _check_density(rho: float, what: str = "density") -> float:
@@ -104,7 +116,7 @@ class FluxModel:
     """A concave unimodal flux with critical density ``sigma`` and peak ``f_max``."""
 
     kind: str
-    params: Mapping[str, object] = field(repr=False)
+    params: Mapping[str, object] = field(repr=False, hash=False)
     sigma: float
     f_max: float
 
@@ -230,12 +242,7 @@ class FluxModel:
         that holds the intermediate values (otherwise one is allocated).
         """
         if rho.__class__ is float or np.isscalar(rho):
-            if self.kind == "quadratic":
-                return self.params["coefficient"] * rho * (RHO_MAX - rho)
-            if self.kind == "triangular":
-                s, fm = self.params["sigma"], self.params["f_max"]
-                return fm * rho / s if rho <= s else fm * (RHO_MAX - rho) / (RHO_MAX - s)
-            return _interp(float(rho), self.params["rho"], self.params["flux"])
+            return self._scalar(rho)
         if out is None:
             out = np.empty(np.shape(rho))
         if self.kind == "quadratic":
@@ -253,7 +260,29 @@ class FluxModel:
             out[...] = np.interp(rho, self.params["rho"], self.params["flux"])
         return out
 
+    @cached_property
+    def _scalar(self):
+        """f as a plain function of one density in [0, 1], built on first use and
+        kept on the (immutable) model; the one place each kind's scalar formula is
+        written."""
+        if self.kind == "quadratic":
+            c = self.params["coefficient"]
+            return lambda rho: c * rho * (RHO_MAX - rho)
+        if self.kind == "triangular":
+            s, fm = self.params["sigma"], self.params["f_max"]
+            return lambda rho: fm * rho / s if rho <= s \
+                else fm * (RHO_MAX - rho) / (RHO_MAX - s)
+        xs, ys = self.params["rho"], self.params["flux"]
+        return lambda rho: _interp(float(rho), xs, ys)
+
     __call__ = value
+
+    def __getstate__(self) -> dict:
+        """The fields for pickle and copy, without the cached ``_scalar``, a closure
+        that cannot be pickled; a copy builds its own on first use."""
+        state = dict(self.__dict__)
+        state.pop("_scalar", None)
+        return state
 
     def max_wave_speed(self) -> float:
         """Upper bound on |f'|, used for CFL time-step control."""
@@ -280,22 +309,30 @@ class FluxModel:
                 or gamma > self.f_max + FLUX_SLACK:
             raise InfeasibleFluxError(
                 f"flux {gamma!r} outside [0, f_max={self.f_max!r}]")
+        return self._invert(gamma, branch == INCREASING)
+
+    def _invert(self, gamma: float, increasing: bool) -> float:
+        """:meth:`invert` for a finite flux within ``FLUX_SLACK`` of [0, f_max],
+        on the increasing branch when ``increasing``, else the decreasing one."""
         gamma = 0.0 if gamma < 0.0 else self.f_max if gamma > self.f_max else gamma
-        inc = branch == INCREASING
         if self.kind == "quadratic":
             d = math.sqrt(max(0.0, 1.0 - gamma / self.f_max))
-            rho = 0.5 * (1.0 - d) if inc else 0.5 * (1.0 + d)
+            rho = 0.5 * (1.0 - d) if increasing else 0.5 * (1.0 + d)
         elif self.kind == "triangular":
             s, fm = self.params["sigma"], self.params["f_max"]
-            rho = gamma * s / fm if inc else RHO_MAX - gamma * (RHO_MAX - s) / fm
+            rho = gamma * s / fm if increasing else RHO_MAX - gamma * (RHO_MAX - s) / fm
         else:
-            rho = _interp(float(gamma), *self.params[branch])
-        lo, hi = (0.0, self.sigma) if inc else (self.sigma, RHO_MAX)
+            rho = _interp(float(gamma), *self.params[INCREASING if increasing
+                                                     else DECREASING])
+        lo, hi = (0.0, self.sigma) if increasing else (self.sigma, RHO_MAX)
         return lo if rho < lo else hi if rho > hi else rho
 
     def tau(self, rho: float) -> float:
         """The density on the other branch with the same flux; tau(sigma) = sigma."""
-        rho = _check_density(rho)
+        return self._tau(_check_density(rho))
+
+    def _tau(self, rho: float) -> float:
+        """:meth:`tau` of a density in [0, 1]."""
         if self.kind == "quadratic":
             return RHO_MAX - rho
         if self.kind == "triangular":
@@ -303,8 +340,8 @@ class FluxModel:
             if rho <= s:
                 return RHO_MAX - (RHO_MAX - s) * rho / s
             return s * (RHO_MAX - rho) / (RHO_MAX - s)
-        branch = DECREASING if rho <= self.sigma else INCREASING
-        return self.invert(self._value(rho), branch)
+        # f(rho) lies in [0, f_max], where the inverse needs no check
+        return self._invert(self._scalar(rho), rho > self.sigma)
 
     # -- demand / supply and admissible boundary traces ----------------------------
 
@@ -326,11 +363,15 @@ class FluxModel:
         treated as excluded when within ``BOUNDARY_EPS``. For rho0 >= sigma the set is
         [sigma, 1].
         """
-        rho0, rho = _check_density(rho0, "datum"), _check_density(rho, "trace")
+        return self._contains_in(_check_density(rho0, "datum"),
+                                 _check_density(rho, "trace"))
+
+    def _contains_in(self, rho0: float, rho: float) -> bool:
+        """:meth:`contains_trace_in` of a datum and a trace in [0, 1]."""
         if abs(rho - rho0) <= BOUNDARY_EPS:
             return True
         if rho0 <= self.sigma:
-            return rho - self.tau(rho0) > BOUNDARY_EPS
+            return rho - self._tau(rho0) > BOUNDARY_EPS
         return rho >= self.sigma - BOUNDARY_EPS
 
     def contains_trace_out(self, rho0: float, rho: float) -> bool:
@@ -339,11 +380,15 @@ class FluxModel:
         For rho0 >= sigma the set is {rho0} together with [0, tau(rho0)[; otherwise
         it is [0, sigma].
         """
-        rho0, rho = _check_density(rho0, "datum"), _check_density(rho, "trace")
+        return self._contains_out(_check_density(rho0, "datum"),
+                                  _check_density(rho, "trace"))
+
+    def _contains_out(self, rho0: float, rho: float) -> bool:
+        """:meth:`contains_trace_out` of a datum and a trace in [0, 1]."""
         if abs(rho - rho0) <= BOUNDARY_EPS:
             return True
         if rho0 >= self.sigma:
-            return self.tau(rho0) - rho > BOUNDARY_EPS
+            return self._tau(rho0) - rho > BOUNDARY_EPS
         return rho <= self.sigma + BOUNDARY_EPS
 
 

@@ -10,8 +10,10 @@ constructor and :meth:`TraceSolution.from_traces` check every density they get.
 Densities already proved to be floats in [0, 1], where a repeat check could only
 return what it was given, build their state with the unchecked
 ``RiemannState._proved``: the Godunov step's node cells, and the traces of
-:meth:`TraceSolution.from_fluxes` (the checked datum, sigma or ``invert``'s
-clamped output).
+:meth:`TraceSolution.from_fluxes` (the checked datum, sigma or the clamped output of
+the flux's ``_invert``). Checked densities go to the flux's unchecked kernels
+(``_scalar``, ``_invert``, ``_contains_in``/``_contains_out``), never back through
+its public checks.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InadmissibleFluxError, InputError, TopologyError
-from .flux import DECREASING, INCREASING, FluxInterval, FluxModel, _check_density
-from .tolerances import BALANCE_TOL, FIXED_POINT_TOL, KEEP_TOL
+from .flux import FluxInterval, FluxModel, _check_density
+from .tolerances import BALANCE_TOL, FIXED_POINT_TOL, FLUX_SLACK, KEEP_TOL
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,12 @@ class TraceSolution:
         topo = initial.topology
         values = traces.rho if isinstance(traces, RiemannState) else tuple(traces)
         state = RiemannState(topo, values)
-        value = model._value
-        gamma = tuple([float(value(r)) for r in state.rho])
+        value = model._scalar
+        gamma = tuple([value(r) for r in state.rho])
         n = topo.n
         rho0, rho = initial.rho, state.rho
-        ok = all(map(model.contains_trace_in, rho0[:n], rho[:n])) \
-            and all(map(model.contains_trace_out, rho0[n:], rho[n:]))
+        ok = all(map(model._contains_in, rho0[:n], rho[:n])) \
+            and all(map(model._contains_out, rho0[n:], rho[n:]))
         return TraceSolution(state, gamma,
                              abs(flux_imbalance(topo, gamma)) <= BALANCE_TOL, ok)
 
@@ -140,23 +142,23 @@ class TraceSolution:
         :func:`trace_out_from_flux` does, its flux, and its admissibility. f(datum)
         is evaluated once per arc and is the flux of a kept trace; the verdicts are
         those of :meth:`from_traces` on the same traces, bit for bit. Every trace is
-        the checked datum, sigma or ``invert``'s clamped output, so the traces'
-        state is built unchecked.
+        the checked datum, sigma or ``_invert``'s clamped output, so the flux's
+        kernels take it unchecked and the traces' state is built unchecked.
         """
         topo = initial.topology
         n = topo.n
-        value = model._value
+        value, contains_in, contains_out = \
+            model._scalar, model._contains_in, model._contains_out
         traces, fluxes = [], []
         ok = True
         for l, (r, cap, g) in enumerate(zip(initial.rho, caps, gamma)):
-            f0 = float(value(r))
+            f0 = value(r)
             incoming = l < n
-            trace = _trace_from_flux(model, r, f0, cap, g, incoming)
+            trace = _trace_from_flux(model, r, f0, cap.sup, g, incoming)
             traces.append(trace)
-            fluxes.append(f0 if trace is r else float(value(trace)))
+            fluxes.append(f0 if trace is r else value(trace))
             if ok:
-                ok = model.contains_trace_in(r, trace) if incoming \
-                    else model.contains_trace_out(r, trace)
+                ok = contains_in(r, trace) if incoming else contains_out(r, trace)
         fluxes = tuple(fluxes)
         return TraceSolution(RiemannState._proved(topo, tuple(traces)), fluxes,
                              abs(flux_imbalance(topo, fluxes)) <= BALANCE_TOL, ok)
@@ -186,8 +188,8 @@ def trace_in_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     lie in the demand interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    return _trace_from_flux(model, rho0, model._value(rho0), model.demand(rho0), gamma,
-                            True)
+    return _trace_from_flux(model, rho0, model._scalar(rho0), model.demand(rho0).sup,
+                            gamma, True)
 
 
 def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
@@ -197,23 +199,25 @@ def trace_out_from_flux(model: FluxModel, rho0: float, gamma: float) -> float:
     branch, and ``gamma`` must lie in the supply interval of ``rho0``.
     """
     rho0 = _check_density(rho0, "datum")
-    return _trace_from_flux(model, rho0, model._value(rho0), model.supply(rho0), gamma,
-                            False)
+    return _trace_from_flux(model, rho0, model._scalar(rho0), model.supply(rho0).sup,
+                            gamma, False)
 
 
-def _trace_from_flux(model: FluxModel, rho0: float, f0: float, cap: FluxInterval,
+def _trace_from_flux(model: FluxModel, rho0: float, f0: float, cap: float,
                      gamma: float, incoming: bool) -> float:
     """:func:`trace_in_from_flux` (``incoming``) or :func:`trace_out_from_flux` for a
-    checked datum ``rho0`` whose flux ``f0`` and demand or supply ``cap`` are known;
-    a kept datum is returned as the very object ``rho0``."""
-    if not cap.contains(gamma):
+    checked datum ``rho0`` whose flux ``f0`` and demand or supply ``cap`` (the sup
+    of its interval) are known; a kept datum is returned as the very object
+    ``rho0``. A flux inside the cap's slack is a finite number the inverse takes
+    unchecked."""
+    if not -FLUX_SLACK <= gamma <= cap + FLUX_SLACK:  # NaN fails too
         side = "demand of incoming" if incoming else "supply of outgoing"
         raise InadmissibleFluxError(f"flux {gamma!r} outside {side} datum {rho0!r}")
     if abs(f0 - gamma) <= KEEP_TOL:
         return rho0
     if model.f_max - gamma <= KEEP_TOL:
         return model.sigma
-    return model.invert(gamma, DECREASING if incoming else INCREASING)
+    return model._invert(gamma, not incoming)
 
 
 def is_equilibrium(solver: SolverFn, state: RiemannState) -> bool:

@@ -206,23 +206,32 @@ class _FlatArcs:
         self.outer_slots = np.concatenate((first[:n] - 1, last[n:]))
         self.dem = np.empty(size)
         self.sup = np.empty(size)
+        # the views each step works on: the interface fluxes overwrite the demands
+        # (flux[i] in dem[i]), their differences the supplies of cells 1..size-2
+        flux = self.dem[:-1]
+        self.views = (flux, self.sup[1:], flux[1:], flux[:-1], self.sup[1:-1],
+                      self.ratio[1:-1], self.u[1:-1])
 
     def advance(self, solver: SolverFn, dt: float) -> tuple[TraceSolution, float, float]:
         """One Godunov step; returns the node solution and the outer in/outflow."""
         u, n = self.u, self.topology.n
+        flux, sup_right, flux_right, flux_left, change, ratio, inner = self.views
         node = solver(RiemannState._proved(self.topology,
                                            tuple(u[self.node_cells].tolist())))
         sup = self.model._value(u, out=self.sup, work=self.dem)
         outer = sup[self.outer_cells]
         outer_flux = outer.tolist()
         _demand_supply(self.model, u, self.dem, sup)
-        # the interface fluxes overwrite the demands, their differences the supplies
-        flux = np.minimum(self.dem[:-1], sup[1:], out=self.dem[:-1])
+        np.minimum(flux, sup_right, out=flux)
         flux[self.node_slots] = node.gamma
         flux[self.outer_slots] = outer
-        change = np.subtract(flux[1:], flux[:-1], out=sup[1:-1])  # cells 1..size-2
-        change *= self._ratio(dt)[1:-1]
-        u[1:-1] -= change
+        np.subtract(flux_right, flux_left, out=change)
+        if dt != self.ratio_dt:  # dt / dx on each arc's cells; a run uses two dt at most
+            self.ratio_dt = dt
+            for view, a, dx in zip(self.arcs, self.first, self.dx):
+                self.ratio[a:a + view.size] = dt / dx
+        change *= ratio
+        inner -= change
         if not (float(u.min()) >= 0.0 and float(u.max()) <= RHO_MAX):  # NaN too
             _check_densities(u)
             np.clip(u, 0.0, RHO_MAX, out=u)
@@ -232,15 +241,6 @@ class _FlatArcs:
         for value in outer_flux[n:]:
             outflow += value
         return node, inflow, outflow
-
-    def _ratio(self, dt: float) -> np.ndarray:
-        """dt / dx on every cell of an arc and 0 on the ghost cells, rebuilt only
-        when ``dt`` changes (a run uses at most two values)."""
-        if dt != self.ratio_dt:
-            self.ratio_dt = dt
-            for view, a, dx in zip(self.arcs, self.first, self.dx):
-                self.ratio[a:a + view.size] = dt / dx
-        return self.ratio
 
     def mass(self) -> float:
         """Sum over the arcs of (cell sum) * dx. Each cell sum is the bits of
@@ -255,7 +255,7 @@ class _FlatArcs:
     def close(self) -> None:
         """Free the work buffers before the final copies are made, so that a run
         never holds both; the densities stay readable."""
-        self.dem = self.sup = self.ratio = None
+        self.dem = self.sup = self.ratio = self.views = None
 
     def grids(self) -> list[ArcGrid]:
         """A copy of every arc's densities, each in its own grid."""

@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, make_dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -214,11 +214,18 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
         tuple(tuple(float(a) for a in row) for row in matrix)
     b = [float(x) for x in caps_in]
     c = [float(x) for x in caps_out]
-    n, m = len(b), len(c)
-    if len(rows) != m or any([len(row) != n for row in rows]):
+    if len(rows) != len(c) or any([len(row) != len(b) for row in rows]):
         raise InvalidMatrixError("matrix shape does not match the cap vectors")
     if not all([x >= -CAP_SLACK for x in b + c]):  # NaN fails too
         raise InadmissibleFluxError("caps must be nonnegative")
+    return _lp_solve(rows, b, c, warm)
+
+
+def _lp_solve(rows: tuple[tuple[float, ...], ...], b: list[float], c: list[float],
+              warm: list | None) -> tuple[float, ...]:
+    """:func:`lp_maximize_box_polytope` for m x n ``rows`` and float caps b (n of
+    them) and c (m), each at least ``-CAP_SLACK``."""
+    n, m = len(b), len(c)
     # variables 0..n-1 are gamma, n..n+m-1 the slacks c - A gamma; caps clamped at 0
     b = [x if x > 0.0 else 0.0 for x in b]
     c = [x if x > 0.0 else 0.0 for x in c]
@@ -475,10 +482,11 @@ def _caps(model: FluxModel, initial: RiemannState) -> list[FluxInterval]:
 
     The cap is f(r) when ``(r <= sigma) == incoming`` and f_max otherwise, the
     float that ``demand``/``supply`` return, without their second check of the
-    state's densities.
+    state's densities; it is >= 0, so its interval is built unchecked.
     """
-    n, sigma, f_max, value = initial.topology.n, model.sigma, model.f_max, model._value
-    return [FluxInterval(float(value(r)) if (r <= sigma) == (l < n) else f_max)
+    n, sigma, f_max, value = initial.topology.n, model.sigma, model.f_max, model._scalar
+    interval = FluxInterval._proved
+    return [interval(value(r) if (r <= sigma) == (l < n) else f_max)
             for l, r in enumerate(initial.rho)]
 
 
@@ -508,10 +516,13 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     caps = _caps(model, initial)
     sups = [c.sup for c in caps]
     caps_out = sups[n:]
-    g_in = lp_maximize_box_polytope(sups[:n], caps_out, matrix, warm)
-    g_out = [min(sum([a * g for a, g in zip(row, g_in)]), cap)
-             for row, cap in zip(matrix.rows, caps_out)]
-    return TraceSolution.from_fluxes(model, initial, caps, [*g_in, *g_out])
+    # the caps are floats >= 0 and the shape is checked: the LP needs no checks
+    g_in = _lp_solve(matrix.rows, sups[:n], caps_out, warm)
+    gamma = list(g_in)
+    for row, cap in zip(matrix.rows, caps_out):
+        v = sum(map(mul, row, g_in))
+        gamma.append(cap if cap < v else v)  # min(v, cap): v on a tie, 0.0 vs -0.0 too
+    return TraceSolution.from_fluxes(model, initial, caps, gamma)
 
 
 def rs2_solve(model: FluxModel, theta: ThetaWeights,
@@ -573,7 +584,7 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
     rho = list(initial.rho)
     s = model.sigma
     fm = model.f_max
-    f = [model._value(r) for r in rho]
+    f = [model._scalar(r) for r in rho]
     bad = [rho[0] < s - SIGMA_TIE, rho[1] < s - SIGMA_TIE,
            rho[2] > s + SIGMA_TIE, rho[3] > s + SIGMA_TIE]
     h = sum(bad)

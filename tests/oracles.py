@@ -92,6 +92,19 @@ def bits(value):
     return type(value), value
 
 
+def value_reference(model, rho: float) -> float:
+    """f(rho) for one density in [0, 1], each kind's formula in plain arithmetic: a
+    tabulated flux through ``np.interp``, whose scalar the package matches bit for
+    bit."""
+    p = model.params
+    if model.kind == "quadratic":
+        return p["coefficient"] * rho * (1.0 - rho)
+    if model.kind == "triangular":
+        s, fm = p["sigma"], p["f_max"]
+        return fm * rho / s if rho <= s else fm * (1.0 - rho) / (1.0 - s)
+    return float(np.interp(rho, p["rho"], p["flux"]))
+
+
 def invert_reference(model, gamma: float, branch: str) -> float:
     """Branch inverse of a flux in plain arithmetic: the flux clamped into
     [0, f_max] and the density into its branch with ``min``/``max``, a tabulated

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from junction_riemann import (
     NodeTopology,
     RiemannState,
 )
-from oracles import bisect_flux_inverse, bits, invert_reference, tau_reference
+from oracles import (bisect_flux_inverse, bits, invert_reference, tau_reference,
+                     value_reference)
 
 densities = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -128,6 +131,56 @@ def test_scalar_value_keeps_its_type_and_value(any_model, x):
         expected = fm * x / s if x <= s else fm * (1.0 - x) / (1.0 - s)
     assert type(got) is type(expected)
     assert got == expected
+
+
+def test_scalar_kernel_is_bit_identical_to_the_plain_reference(any_model):
+    for model in (any_model, SKEWED_TAB):
+        rng = np.random.default_rng(2111)
+        rhos = [0.0, -0.0, 1.0, model.sigma, *model.params.get("rho", ()),
+                *rng.uniform(0.0, 1.0, 200).tolist()]
+        for rho in rhos:
+            want = bits(value_reference(model, rho))
+            assert bits(model._scalar(rho)) == want
+            assert bits(model._value(rho)) == want
+            assert bits(model.value(rho)) == want
+
+
+def test_scalar_kernel_is_built_once_and_stays_out_of_equality_and_hash():
+    first, second = FluxModel.triangular(0.3, 0.8), FluxModel.triangular(0.3, 0.8)
+    before = hash(first)
+    kernel = first._scalar
+    assert first._scalar is kernel and "_scalar" not in vars(second)
+    assert first == second and hash(first) == hash(second) == before
+
+
+def test_models_pickle_and_copy_after_building_their_scalar_kernel(any_model):
+    any_model._scalar(0.25)
+    for twin in (pickle.loads(pickle.dumps(any_model)), copy.deepcopy(any_model)):
+        assert twin == any_model and "_scalar" not in vars(twin)
+        assert bits(twin._scalar(0.3)) == bits(any_model._scalar(0.3))
+
+
+def test_models_hash_and_serve_as_dict_keys(quad, tri, tab):
+    table = {quad: "quad", tri: "tri", tab: "tab"}
+    for model, name in table.items():
+        twin = FluxModel.from_json(model.to_json())
+        assert twin == model and hash(twin) == hash(model) and table[twin] == name
+    assert len(table) == 3 and FluxModel.quadratic(2.0) not in table
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+def test_checked_methods_still_reject_bad_input(any_model, bad):
+    with pytest.raises(InfeasibleFluxError):
+        any_model.invert(any_model.f_max * bad, INCREASING)
+    with pytest.raises(DomainError):
+        any_model.tau(bad)
+    for contains in (any_model.contains_trace_in, any_model.contains_trace_out):
+        with pytest.raises(DomainError):
+            contains(bad, 0.5)
+        with pytest.raises(DomainError):
+            contains(0.5, bad)
+    with pytest.raises(InputError):
+        any_model.invert(0.5 * any_model.f_max, "flat")
 
 
 def test_out_of_range_density_rejected(quad):

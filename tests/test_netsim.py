@@ -475,30 +475,26 @@ def test_result_and_snapshot_grids_are_independent_copies(quad):
     assert _run_bits(run(config, grids, snapshot_times=[0.02])) == want
 
 
-def test_a_2x2_rs1_step_checks_at_most_8_densities(quad, monkeypatch):
-    """Each density is checked once where it enters. What a 2x2 rs1 step still
-    checks is contains_trace_in/_out's two arguments on each of the four arcs,
-    and the datum once more inside ``tau`` on the calls that need it."""
+def test_a_2x2_rs1_step_checks_no_density(quad, monkeypatch):
+    """Each density is checked once where it enters. The run's copy into the flat
+    array checks the initial grids, and each step's range check the densities it
+    produces; a 2x2 rs1 step then hands its node cells, the caps, the traces and
+    their verdicts to the flux's unchecked kernels, and checks no density again."""
     from junction_riemann import flux, junction, netsim, solvers
-    calls = {"check": 0, "tau": 0}
-    check, tau = flux._check_density, flux.FluxModel.tau
+    calls = []
+    check = flux._check_density
 
     def counted_check(*args):
-        calls["check"] += 1
+        calls.append(args)
         return check(*args)
-
-    def counted_tau(self, rho):
-        calls["tau"] += 1
-        return tau(self, rho)
 
     for module in (flux, junction, netsim, solvers):
         if hasattr(module, "_check_density"):
             monkeypatch.setattr(module, "_check_density", counted_check)
-    monkeypatch.setattr(flux.FluxModel, "tau", counted_tau)
-    steps = 200
     config = SimConfig(quad, RS1Solver(quad, MATRIX_2X2), cfl=0.5)
-    run(config, make_grids(T22, [0.3, 0.8, 0.6, 0.1], cells=50), steps=steps)
-    assert calls["check"] - calls["tau"] <= 8 * steps
+    result = run(config, make_grids(T22, [0.3, 0.8, 0.6, 0.1], cells=50), steps=200)
+    assert len(result.node_history) == 200
+    assert calls == []
 
 
 def _run_bits(result: SimResult):

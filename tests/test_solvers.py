@@ -894,13 +894,11 @@ def test_handles_are_frozen_dataclasses_of_their_parameters(quad):
         assert cls.__module__ == "junction_riemann.solvers"
         names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
         assert names == HANDLE_FIELDS[cls]
-        # positional construction from the fields, equality and hashing by field;
-        # a FluxModel holds its parameters in a dict and does not hash, so the hash
-        # is taken with a hashable stand-in for the model
+        # positional construction from the fields, equality and hashing by field
         params = [getattr(handle, name) for name in names[1:]]
         again = cls(quad, *params)
         assert isinstance(again, cls) and again == handle
-        assert hash(cls("model", *params)) == hash(cls("model", *params))
+        assert hash(again) == hash(handle)
         for name in [f.name for f in dataclasses.fields(cls)]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(handle, name, None)
@@ -916,6 +914,21 @@ def test_handles_are_frozen_dataclasses_of_their_parameters(quad):
     assert RS2Solver(quad, theta) != RS2Solver(quad, ThetaWeights((0.5, 0.5),
                                                                  (0.25, 0.75)))
     assert RS1x1Solver(quad) != RSE12x2Solver(quad)
+
+
+def test_handles_hash_and_serve_as_dict_keys(any_model):
+    state = RiemannState(T22, (0.75, 0.125, 0.9, 0.1))
+    cases = _handle_cases(any_model)
+    table = {handle: k for k, (handle, _, _) in enumerate(cases)}
+    assert len(table) == len(cases)
+    for k, (handle, _, _) in enumerate(_handle_cases(any_model)):
+        assert hash(handle) == hash(cases[k][0]) and table[handle] == k
+    # rs1's held basis stays out of the hash, and so does the model's scalar kernel
+    warm = cases[0][0]
+    before = hash(warm)
+    warm(state)
+    assert warm.basis[0] is not None and "_scalar" in vars(warm.model)
+    assert hash(warm) == before and table[RS1Solver(any_model, MATRIX_2X2)] == 0
 
 
 def test_each_handle_returns_the_bits_of_its_solve(any_model):
