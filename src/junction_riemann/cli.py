@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: ``solve`` (run a Riemann solver on node data), ``entropy`` (entropy-
-condition report for a trace vector or a solver output), ``classify`` (2x2 table
-classification), ``simulate`` (Godunov evolution of the node), ``reproduce`` (re-derive
-every pinned numeric result and compare).
+Subcommands, each with the options it reads: ``solve`` (run a Riemann solver on node
+data; --input, --output, --format, --solver), ``entropy`` (entropy-condition report
+for a trace vector or a solver output; those four and --tolerance), ``classify`` (2x2
+table classification; --input, --output, --format, --tolerance), ``simulate`` (Godunov
+evolution of the node; --input, --output as the prefix of its three files, --solver)
+and ``reproduce`` (re-derive every pinned numeric result and compare; no options).
 
-Exit codes: 0 success, 1 malformed input, 2 mathematical precondition failure.
+Exit codes: 0 success, 1 malformed input or a usage error, 2 failed precondition.
 
 Documents are JSON; any number may be written as {"expr": "(8+sqrt(34))/16"} and is
 evaluated exactly at load time (only +, -, *, /, sqrt and parentheses are allowed).
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import io
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .entropy import check_E1, check_E2, classify_2x2, entropy_flux, \
     face_objective_equivalence
 from .errors import InputError, PreconditionError
 from .flux import FluxModel, _parameter
-from .junction import RiemannState
+from .junction import NodeTopology, RiemannState
 from .netsim import SimConfig, make_grids, run, summary_json, write_mass_csv, \
     write_snapshots_csv
 from .sampling import default_rng
@@ -148,33 +149,28 @@ def _load_node(args, keep: str | None = None) -> tuple[dict, FluxModel, RiemannS
 
 
 def build_solver(doc: dict, args, model: FluxModel, topology):
-    config = None
-    if args.solver:
-        config = _read_json(args.solver, "solver file")
-    elif "solver" in doc:
-        config = doc["solver"]
+    config = _read_json(args.solver, "solver file") if args.solver else doc.get("solver")
     if config is None:
         raise InputError("no solver configured (add a 'solver' key or use --solver)")
     return solver_from_config(model, config, topology)
 
 
-def emit(args, payload: dict, csv_header: list[str] | None = None,
-         csv_rows: list[list] | None = None) -> None:
-    if args.format == "csv" and csv_header is not None:
-        buf = io.StringIO()
-        buf.write(",".join(csv_header) + "\n")
-        for row in csv_rows or []:
-            buf.write(",".join(format_float(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
-        text = buf.getvalue()
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc}") from exc
+
+
+def emit(args, payload: dict, csv_header: list[str], csv_rows: list[list]) -> None:
+    if args.format == "csv":
+        text = "".join(",".join(format_float(v) if isinstance(v, float) else str(v)
+                                for v in row) + "\n" for row in [csv_header, *csv_rows])
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write output file: {exc}") from exc
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -183,8 +179,7 @@ def emit(args, payload: dict, csv_header: list[str] | None = None,
 
 def cmd_solve(args) -> int:
     doc, model, state = _load_node(args)
-    solver = build_solver(doc, args, model, state.topology)
-    solution = solver(state)
+    solution = build_solver(doc, args, model, state.topology)(state)
     rows = [[l, "in" if l < state.topology.n else "out",
              solution.state.rho[l], solution.gamma[l]]
             for l in range(state.topology.total)]
@@ -197,11 +192,9 @@ def cmd_solve(args) -> int:
 def cmd_entropy(args) -> int:
     doc, model, state = _load_node(args)
     options = {} if args.tolerance is None else {"tol": args.tolerance}
+    traces = state
     if args.solver or "solver" in doc:
-        solver = build_solver(doc, args, model, state.topology)
-        traces = solver(state).state
-    else:
-        traces = state
+        traces = build_solver(doc, args, model, state.topology)(state).state
     report = check_E1(model, traces, **options)
     payload = report.to_json()
     payload["rho"] = list(traces.rho)
@@ -233,10 +226,9 @@ def cmd_classify(args) -> int:
     doc, model, state = _load_node(args)
     options = {} if args.tolerance is None else {"eq_tol": args.tolerance}
     verdict = classify_2x2(model, state, **options)
-    row = [[verdict.bad_count, verdict.row, verdict.admissible,
-            " ".join(str(p) for p in verdict.permutation)]]
     emit(args, verdict.to_json(), ["bad_count", "row", "admissible", "permutation"],
-         row)
+         [[verdict.bad_count, verdict.row, verdict.admissible,
+           " ".join(str(p) for p in verdict.permutation)]])
     return 0
 
 
@@ -301,10 +293,9 @@ def cmd_simulate(args) -> int:
         try:
             write_snapshots_csv(result, args.output + "_snapshots.csv")
             write_mass_csv(result, args.output + "_mass.csv")
-            with open(args.output + "_summary.json", "w") as fh:
-                fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write output file: {exc}") from exc
+        _write(args.output + "_summary.json", text)
     sys.stdout.write(text)
     return 0
 
@@ -316,8 +307,6 @@ def _reproduce_rows(model: FluxModel):
     (label, expected, computed, tolerance); expected/computed are floats or
     equal-length tuples.
     """
-    from .junction import NodeTopology
-
     topo22 = NodeTopology(2, 2)
     sq = math.sqrt
 
@@ -403,45 +392,52 @@ def cmd_reproduce(args) -> int:
 
 # -- parser ------------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input JSON document")
-    common.add_argument("--output", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--solver", help="solver configuration JSON file "
-                                         "(overrides the document's 'solver' key)")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="tolerance for entropy/classification checks")
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError (exit 1) on a usage error; subcommand parsers inherit it."""
 
-    parser = argparse.ArgumentParser(
-        prog="junction-riemann",
-        description="Riemann solvers, entropy checks, and Godunov simulation "
-                    "at a single road-network node.",
-        epilog="Set JUNCTION_RIEMANN_SEED to seed sampling-based blocks.")
+    def error(self, message):
+        raise InputError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    options = {
+        "input": {"help": "input JSON document"},
+        "output": {"help": "output file (default: stdout)"},
+        "format": {"choices": ("json", "csv"), "default": "json",
+                   "help": "output format (default json)"},
+        "solver": {"help": "solver configuration JSON file "
+                           "(overrides the document's 'solver' key)"},
+        "tolerance": {"type": float,
+                      "help": "tolerance for entropy/classification checks"},
+    }
+    # each subcommand: its handler, its help and exactly the options it reads
+    commands = {
+        "solve": (cmd_solve, "apply a Riemann solver to node data",
+                  "input output format solver"),
+        "entropy": (cmd_entropy, "entropy-condition report for traces or a solver "
+                                 "output", "input output format solver tolerance"),
+        "classify": (cmd_classify, "classify a balanced 2x2 trace vector",
+                     "input output format tolerance"),
+        "simulate": (cmd_simulate, "Godunov evolution of the node",
+                     "input output solver"),
+        "reproduce": (cmd_reproduce, "recompute every pinned numeric result", ""),
+    }
+    parser = _Parser(prog="junction-riemann",
+                     description="Riemann solvers, entropy checks, and Godunov "
+                                 "simulation at a single road-network node.",
+                     epilog="Set JUNCTION_RIEMANN_SEED to seed sampling-based blocks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common],
-                   help="apply a Riemann solver to node data").set_defaults(
-        func=cmd_solve)
-    sub.add_parser("entropy", parents=[common],
-                   help="entropy-condition report for traces or a solver output"
-                   ).set_defaults(func=cmd_entropy)
-    sub.add_parser("classify", parents=[common],
-                   help="classify a balanced 2x2 trace vector").set_defaults(
-        func=cmd_classify)
-    sub.add_parser("simulate", parents=[common],
-                   help="Godunov evolution of the node").set_defaults(
-        func=cmd_simulate)
-    sub.add_parser("reproduce", parents=[common],
-                   help="recompute every pinned numeric result").set_defaults(
-        func=cmd_reproduce)
+    for name, (func, help_text, flags) in commands.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        for flag in flags.split():
+            command.add_argument("--" + flag, **options[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (FaceMismatchError, InputError, InvalidMatrixError,
                      TopologyError, UnbalancedStateError)
-from .flux import FluxModel, _check_density
+from .flux import FluxModel, _check_density, _integer
 from .junction import NodeTopology, RiemannState, TraceSolution, flux_imbalance
 from .sampling import default_rng
 from .solvers import DistributionMatrix, _caps, _check_matrix_shape, matrix_in_n
@@ -336,7 +336,10 @@ def face_objective_equivalence(model: FluxModel, initial: RiemannState, matrix,
     ``matrix`` routes incoming flux to outgoing arcs (a DistributionMatrix or array).
     E_free is the total incoming flux over the arcs not pinned by the face. On every
     face the difference is constant; the report carries the sampled values and spread.
+    ``samples`` must be an integer >= 1 (InputError otherwise).
     """
+    if _integer(samples, "samples") < 1:
+        raise InputError(f"samples must be an integer >= 1, got {samples!r}")
     topo = initial.topology
     if not isinstance(matrix, DistributionMatrix):
         matrix = DistributionMatrix.from_rows(matrix)

@@ -35,13 +35,14 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleFluxError, InputError
+from .errors import DomainError, InadmissibleFluxError, InfeasibleFluxError, InputError
 from .tolerances import BOUNDARY_EPS, DENSITY_SLACK, FLUX_SLACK
 
 #: jam density; densities live in [0, RHO_MAX].
@@ -53,9 +54,14 @@ DECREASING = "decreasing"
 
 @dataclass(frozen=True)
 class FluxInterval:
-    """The interval [0, sup] of fluxes an arc can send or receive."""
+    """The interval [0, sup] of fluxes an arc can send or receive; a negative or NaN
+    ``sup`` raises InadmissibleFluxError."""
 
     sup: float
+
+    def __post_init__(self):
+        if not self.sup >= 0.0:  # NaN fails too
+            raise InadmissibleFluxError("caps must be nonnegative")
 
     def contains(self, gamma: float) -> bool:
         return -FLUX_SLACK <= gamma <= self.sup + FLUX_SLACK
@@ -93,6 +99,17 @@ def _parameter(value, what: str) -> float:
             or not math.isfinite(value):
         raise InputError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, what: str, error: type = InputError) -> int:
+    """``value`` as an int; ``error`` unless it is an integer (a numpy integer is, a
+    bool is not)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _interp(x: float, xp: tuple[float, ...], fp: tuple[float, ...]) -> float:

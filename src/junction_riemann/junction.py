@@ -22,20 +22,25 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InadmissibleFluxError, InputError, TopologyError
-from .flux import FluxInterval, FluxModel, _check_density
+from .flux import FluxInterval, FluxModel, _check_density, _integer
 from .tolerances import BALANCE_TOL, FIXED_POINT_TOL, FLUX_SLACK, KEEP_TOL
 
 
 @dataclass(frozen=True)
 class NodeTopology:
-    """Arc counts at the node: ``n`` incoming, ``m`` outgoing."""
+    """Arc counts at the node: ``n`` incoming, ``m`` outgoing, each an integer >= 1
+    (a numpy integer is stored as an int; a bool is refused)."""
 
     n: int
     m: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise TopologyError(f"need at least one arc per side, got {self.n}x{self.m}")
+        n = _integer(self.n, "arc count n", TopologyError)
+        m = _integer(self.m, "arc count m", TopologyError)
+        if n < 1 or m < 1:
+            raise TopologyError(f"need at least one arc per side, got {n}x{m}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @property
     def total(self) -> int:
@@ -89,8 +94,8 @@ class RiemannState:
 
     @staticmethod
     def from_json(obj) -> "RiemannState":
-        try:
-            topo = NodeTopology(int(obj["n"]), int(obj["m"]))
+        try:  # a TopologyError is a ValueError: a bad count is malformed input here
+            topo = NodeTopology(obj["n"], obj["m"])
             rho = tuple(float(r) for r in obj["rho"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad state object: {exc}") from exc

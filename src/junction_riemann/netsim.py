@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, StepSizeError, TopologyError
-from .flux import RHO_MAX, FluxModel, _check_densities
+from .flux import RHO_MAX, FluxModel, _check_densities, _integer
 from .junction import NodeTopology, RiemannState, SolverFn, TraceSolution
 from .tolerances import CFL_SLACK, TIME_TOL
 
@@ -322,10 +322,12 @@ class SimResult:
 
 def make_grids(topology: NodeTopology, initial: Sequence, cells: int = 200,
                length: float = 1.0) -> list[ArcGrid]:
-    """Build one grid per arc from scalars (uniform) or per-cell arrays."""
+    """Build one grid per arc from scalars (uniform) or per-cell arrays; ``cells``
+    must be an integer."""
     if len(initial) != topology.total:
         raise TopologyError(
             f"need {topology.total} initial profiles, got {len(initial)}")
+    cells = _integer(cells, "cells")
     if cells < 2 or not length > 0.0:
         raise InputError("need at least 2 cells and a positive arc length")
     grids = []
@@ -349,8 +351,7 @@ def run(config: SimConfig, grids: Sequence[ArcGrid],
     a non-negative int; without it, a ``t_end`` that needs more than
     :data:`MAX_STEPS` steps raises InputError.
     """
-    if steps is not None and (not isinstance(steps, (int, np.integer))
-                              or isinstance(steps, bool) or steps < 0):
+    if steps is not None and _integer(steps, "steps") < 0:
         raise InputError(f"steps must be a non-negative integer, got {steps!r}")
     arcs = _FlatArcs(config.flux, grids)
     dt_step = _checked_dt(config, grids, None)

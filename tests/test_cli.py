@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -161,6 +162,85 @@ def test_unbalanced_entropy_exits_2(tmp_path, capsys):
     doc = {"state": {"n": 1, "m": 1, "rho": [0.9, 0.2]}}
     assert main(["entropy", "--input", write_doc(tmp_path, "d.json", doc)]) == 2
     assert "precondition" in capsys.readouterr().err
+
+
+# -- options and usage errors ---------------------------------------------------------------
+
+#: the options each subcommand reads; every other (subcommand, option) pair is refused
+OPTIONS = {
+    "solve": {"--input", "--output", "--format", "--solver"},
+    "entropy": {"--input", "--output", "--format", "--solver", "--tolerance"},
+    "classify": {"--input", "--output", "--format", "--tolerance"},
+    "simulate": {"--input", "--output", "--solver"},
+    "reproduce": set(),
+}
+#: a valid value of each option, and the value it parses to
+VALUES = {"--input": ("d.json", "d.json"), "--output": ("o.txt", "o.txt"),
+          "--format": ("csv", "csv"), "--solver": ("s.json", "s.json"),
+          "--tolerance": ("0.5", 0.5)}
+
+
+def assert_usage_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_sixteen_values_are_settable():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    settable = {name: {flag for action in parser._actions
+                       for flag in action.option_strings if flag not in ("-h", "--help")}
+                for name, parser in sub.choices.items()}
+    assert settable == OPTIONS
+    assert sum(len(flags) for flags in settable.values()) == 16
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@pytest.mark.parametrize("flag", sorted(VALUES))
+def test_each_subcommand_parses_only_the_options_it_reads(capsys, command, flag):
+    text, value = VALUES[flag]
+    if flag in OPTIONS[command]:
+        args = cli.build_parser().parse_args([command, flag, text])
+        assert getattr(args, flag[2:]) == value
+        assert args.func is getattr(cli, f"cmd_{command}")
+    else:
+        assert_usage_error(capsys, [command, flag, text],
+                           f"unrecognized arguments: {flag} {text}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "--tolerance", "abc"], "invalid float value: 'abc'"),
+    (["classify", "--tolerance", "abc"], "invalid float value: 'abc'"),
+    (["solve", "--tolerance", "abc"], "unrecognized arguments: --tolerance abc"),
+    (["solve", "--format", "xml"], "invalid choice: 'xml'"),
+    (["solve", "--input", "d.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["solve", "--input"], "expected one argument"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "required: command"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert_usage_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: junction-riemann")
+
+
+def test_usage_error_exits_1_from_the_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "junction_riemann", "solve",
+                           "--tolerance", "abc"], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("input error:") and done.stderr.count("\n") == 1
 
 
 # -- solve --------------------------------------------------------------------------------

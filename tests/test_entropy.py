@@ -410,6 +410,20 @@ def test_objective_equivalence_is_constant_per_face(quad, active):
     assert report.spread <= 1e-9
 
 
+@pytest.mark.parametrize("samples", [0, -3, True, 2.0, "5"])
+def test_objective_equivalence_refuses_a_sample_count_below_1(quad, samples):
+    datum = RiemannState(T22, (0.3, 0.8, 0.6, 0.1))
+    with pytest.raises(InputError, match="samples must be an integer"):
+        face_objective_equivalence(quad, datum, RS1_MATRIX, [], samples=samples)
+
+
+def test_objective_equivalence_accepts_a_numpy_sample_count(quad):
+    datum = RiemannState(T22, (0.3, 0.8, 0.6, 0.1))
+    report = face_objective_equivalence(quad, datum, RS1_MATRIX, [],
+                                        samples=np.int64(3), rng=default_rng(7))
+    assert report.face_nonempty and len(report.values) == 3
+
+
 def test_objective_equivalence_rejects_full_cardinality(quad):
     with pytest.raises(FaceMismatchError):
         face_objective_equivalence(quad, RS1_DATA, RS1_MATRIX, {0, 1})

@@ -17,6 +17,7 @@ from junction_riemann import (
     DomainError,
     FluxInterval,
     FluxModel,
+    InadmissibleFluxError,
     InfeasibleFluxError,
     InputError,
     NodeTopology,
@@ -278,6 +279,12 @@ def test_interval_membership():
     assert box.contains(7 / 16 + 1e-10)
     assert not box.contains(7 / 16 + 1e-6)
     assert not box.contains(-1e-6)
+
+
+@pytest.mark.parametrize("sup", [-1.0, -1e-300, math.nan, -math.inf])
+def test_interval_refuses_a_negative_or_nan_bound(sup):
+    with pytest.raises(InadmissibleFluxError, match="caps must be nonnegative"):
+        FluxInterval(sup)
 
 
 def test_demand_monotone_supply_mirrored(any_model):

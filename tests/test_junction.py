@@ -59,6 +59,20 @@ def test_topology_needs_arcs_on_both_sides():
         NodeTopology(1, -1)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", True, None])
+def test_topology_arc_counts_must_be_integers(n):
+    with pytest.raises(TopologyError, match="must be an integer"):
+        NodeTopology(n, 2)
+    with pytest.raises(TopologyError, match="must be an integer"):
+        NodeTopology(2, n)
+
+
+def test_topology_keeps_a_numpy_count_as_an_int():
+    topo = NodeTopology(np.int64(2), np.int32(3))
+    assert topo == NodeTopology(2, 3)
+    assert type(topo.n) is int and type(topo.m) is int
+
+
 def test_state_validation():
     with pytest.raises(InputError):
         RiemannState(T22, (0.1, 0.2, 0.3))
@@ -77,6 +91,14 @@ def test_state_json_round_trip():
     assert again.rho == state.rho
     with pytest.raises(InputError):
         RiemannState.from_json({"n": 1, "m": 2})
+
+
+@pytest.mark.parametrize("count", [2.7, 2.0, "2", True])
+def test_state_json_refuses_a_count_that_is_not_an_integer(count):
+    for key in ("n", "m"):
+        obj = {"n": 2, "m": 2, "rho": [0.3, 0.8, 0.6, 0.1], key: count}
+        with pytest.raises(InputError, match="must be an integer"):
+            RiemannState.from_json(obj)
 
 
 # -- trace reconstruction -----------------------------------------------------------

@@ -169,6 +169,13 @@ def test_make_grids_validation():
         make_grids(T11, [0.5, 0.5], cells=10**20)
 
 
+@pytest.mark.parametrize("cells", [2.5, 20.0, "20", True])
+def test_make_grids_refuses_a_cell_count_that_is_not_an_integer(cells):
+    with pytest.raises(InputError, match="cells must be an integer"):
+        make_grids(T11, [0.5, 0.5], cells=cells)
+    assert make_grids(T11, [0.5, 0.5], cells=np.int64(20))[0].cells == 20
+
+
 # -- single steps ------------------------------------------------------------------------
 
 
