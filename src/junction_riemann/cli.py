@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 malformed input or a usage error, 2 failed precondition
 
 Documents are JSON; any number may be written as {"expr": "(8+sqrt(34))/16"} and is
 evaluated exactly at load time (only +, -, *, /, sqrt and parentheses are allowed).
+Every number is finite, not a string or a bool; n, m and the face's H and samples are
+integers; "theta" holds n + m weights (rs3 reads the first n); no "gamma_j" is no cap.
 The environment variable JUNCTION_RIEMANN_SEED seeds the sampling-based blocks (the
 optional "face" section of ``entropy``).
 """
@@ -26,7 +28,7 @@ import sys
 from .entropy import check_E1, check_E2, classify_2x2, entropy_flux, \
     face_objective_equivalence
 from .errors import InputError, PreconditionError
-from .flux import FluxModel, _parameter
+from .flux import FluxModel, _integer, _parameter
 from .junction import NodeTopology, RiemannState
 from .netsim import SimConfig, make_grids, run, summary_json, write_mass_csv, \
     write_snapshots_csv
@@ -70,8 +72,8 @@ def eval_expr(text: str) -> float:
 
 
 def _eval_node(node: ast.AST, text: str) -> float:
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
+    if isinstance(node, ast.Constant):
+        return _parameter(node.value, f"constant in expression {text!r}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         return _BINOPS[type(node.op)](_eval_node(node.left, text),
                                       _eval_node(node.right, text))
@@ -116,7 +118,7 @@ def _read_json(path: str, what: str, keep: str | None = None):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is nested too deeply") from exc
@@ -202,10 +204,11 @@ def cmd_entropy(args) -> int:
         face = doc["face"]
         if not isinstance(face, dict) or "A" not in face or "H" not in face:
             raise InputError("the 'face' block needs 'A' and 'H'")
-        H, samples = face["H"], face.get("samples", 100)
-        if not isinstance(H, list) or not all(_is_int(l) for l in H):
+        H = face["H"]
+        if not isinstance(H, list):
             raise InputError(f"face 'H' must be a list of arc indices, got {H!r}")
-        if not (_is_int(samples) and 1 <= samples <= MAX_FACE_SAMPLES):
+        samples = _integer(face.get("samples", 100), "face 'samples'")
+        if not 1 <= samples <= MAX_FACE_SAMPLES:
             raise InputError(f"face 'samples' must be an integer in "
                              f"[1, {MAX_FACE_SAMPLES}], got {samples!r}")
         sample = face_objective_equivalence(
@@ -232,14 +235,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    """Whether a document value is a JSON integer (a bool is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _number(value, what: str) -> float:
-    """``value``, or the {"expr"} number it holds, as a float; InputError unless it
-    is a finite number (a bool is not)."""
+    """``value``, or the {"expr"} number it holds, through ``_parameter``."""
     return _parameter(resolve_numbers(value), what)
 
 

@@ -264,9 +264,9 @@ def face_entropy_closed_form(model: FluxModel, traces: RiemannState,
 
 def _active_set(active: Iterable[int], topology: NodeTopology,
                 face: bool = True) -> frozenset[int]:
-    """``active`` as a set of arc indices, checked to lie in range and, for a face of
-    the flux polytope (``face``), to hold at most n - 1 arcs."""
-    H = frozenset(active)
+    """``active`` as a set of arc indices, checked to be integers in range and, for a
+    face of the flux polytope (``face``), to hold at most n - 1 arcs."""
+    H = frozenset([_integer(l, "active-set index") for l in active])
     bad = [l for l in H if not 0 <= l < topology.total]
     if bad:
         raise FaceMismatchError(f"active-set indices {sorted(bad)} out of range")

@@ -26,8 +26,10 @@ The density check returns at once for a density in [0, 1], so a checked call cos
 little more than the kernel.
 Densities within ``DENSITY_SLACK`` of [0, 1] and fluxes within ``FLUX_SLACK`` of their
 range are clamped; these and ``BOUNDARY_EPS`` live in :mod:`junction_riemann.tolerances`.
-The constructors raise InputError for a parameter or sample that is not a finite
-number (a string, a bool, NaN or an infinity), and for a table file they cannot read.
+Every number a document or a public ``from_*`` reader brings in, flux parameters and
+samples too, passes a gate that raises InputError otherwise: ``_parameter`` (a finite
+real number, not a string or a bool), ``_floats`` (a list of those, not a string or a
+mapping) or ``_integer`` (an integer, not a bool); an unreadable table is InputError.
 """
 
 from __future__ import annotations
@@ -93,12 +95,26 @@ def _check_densities(rho: np.ndarray) -> None:
 
 def _parameter(value, what: str) -> float:
     """``value`` as a float; InputError unless it is a finite real number (a bool,
-    a string or None is not)."""
-    if isinstance(value, (bool, np.bool_)) \
-            or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not math.isfinite(value):
-        raise InputError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    a string, None or an integer beyond the float range is not)."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) \
+                and isinstance(value, (int, float, np.integer, np.floating)) \
+                and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise InputError(f"{what} must be a finite number, got {value!r}")
+
+
+def _floats(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each item through :func:`_parameter`;
+    InputError unless it is an iterable that is not a string or a mapping."""
+    try:
+        if not isinstance(values, (str, bytes, Mapping)):
+            return tuple([_parameter(v, what) for v in values])
+    except TypeError:  # not iterable; _parameter raises no TypeError
+        pass
+    raise InputError(f"need a list of {what} values, got {values!r}")
 
 
 def _integer(value, what: str, error: type = InputError) -> int:
@@ -160,12 +176,8 @@ class FluxModel:
 
     @staticmethod
     def tabulated(rho: Iterable[float], flux: Iterable[float]) -> "FluxModel":
-        try:
-            xs = tuple([_parameter(x, "tabulated rho sample") for x in rho])
-            ys = tuple([_parameter(y, "tabulated flux sample") for y in flux])
-        except TypeError as exc:  # not iterable
-            raise InputError(f"tabulated samples must be lists of numbers: {exc}") \
-                from exc
+        xs = _floats(rho, "tabulated rho sample")
+        ys = _floats(flux, "tabulated flux sample")
         if len(xs) != len(ys) or len(xs) < 3:
             raise InputError("tabulated flux needs >= 3 matching samples")
         if xs[0] != 0.0 or xs[-1] != RHO_MAX:
@@ -229,10 +241,7 @@ class FluxModel:
                     raise InputError(f"tabulated 'csv' must be a file path, "
                                      f"got {params['csv']!r}")
                 return FluxModel.tabulated_from_csv(params["csv"])
-            try:
-                return FluxModel.tabulated(params["rho"], params["flux"])
-            except KeyError as exc:
-                raise InputError("tabulated flux needs 'rho' and 'flux' arrays") from exc
+            return FluxModel.tabulated(params.get("rho"), params.get("flux"))
         raise InputError(f"unknown flux kind {kind!r}")
 
     def to_json(self) -> dict:

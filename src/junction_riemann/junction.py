@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InadmissibleFluxError, InputError, TopologyError
-from .flux import FluxInterval, FluxModel, _check_density, _integer
+from .flux import FluxInterval, FluxModel, _check_density, _floats, _integer
 from .tolerances import BALANCE_TOL, FIXED_POINT_TOL, FLUX_SLACK, KEEP_TOL
 
 
@@ -55,6 +55,7 @@ class NodeTopology:
         return range(self.n, self.n + self.m)
 
     def is_incoming(self, arc: int) -> bool:
+        arc = _integer(arc, "arc index", TopologyError)
         if not 0 <= arc < self.total:
             raise TopologyError(f"arc index {arc} out of range for {self.n}x{self.m}")
         return arc < self.n
@@ -96,7 +97,7 @@ class RiemannState:
     def from_json(obj) -> "RiemannState":
         try:  # a TopologyError is a ValueError: a bad count is malformed input here
             topo = NodeTopology(obj["n"], obj["m"])
-            rho = tuple(float(r) for r in obj["rho"])
+            rho = _floats(obj["rho"], "density")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad state object: {exc}") from exc
         return RiemannState(topo, rho)

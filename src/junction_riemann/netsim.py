@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, StepSizeError, TopologyError
-from .flux import RHO_MAX, FluxModel, _check_densities, _integer
+from .flux import RHO_MAX, FluxModel, _check_densities, _integer, _parameter
 from .junction import NodeTopology, RiemannState, SolverFn, TraceSolution
 from .tolerances import CFL_SLACK, TIME_TOL
 
@@ -334,8 +334,8 @@ def make_grids(topology: NodeTopology, initial: Sequence, cells: int = 200,
     for l, profile in enumerate(initial):
         orientation = INCOMING if l < topology.n else OUTGOING
         try:
-            rho = np.full(cells, float(profile)) if np.isscalar(profile) \
-                else np.asarray(profile, dtype=float)
+            rho = np.full(cells, _parameter(profile, "initial value")) \
+                if np.isscalar(profile) else np.asarray(profile, dtype=float)
         except (ValueError, MemoryError) as exc:  # more cells than numpy or memory holds
             raise InputError(f"cannot build the grid of arc {l}: {exc}") from exc
         grids.append(ArcGrid(orientation, length / rho.size, rho))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
-from .flux import DECREASING, INCREASING, FluxInterval, FluxModel
+from .flux import DECREASING, INCREASING, FluxInterval, FluxModel, _floats, _parameter
 from .junction import NodeTopology, RiemannState, TraceSolution
 from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_COST_TOL, LP_MATCH_TOL,
                          LP_PIVOT_TOL, RANK_TOL, SIGMA_TIE, SUM_TO_ONE_SLACK)
@@ -63,11 +63,9 @@ class DistributionMatrix:
         n = len(self.rows[0])
         if any(len(r) != n for r in self.rows):
             raise InvalidMatrixError("distribution matrix rows have unequal lengths")
-        for r in self.rows:
-            for a in r:
-                if not 0.0 < a < 1.0:
-                    raise InvalidMatrixError(
-                        f"entry {a!r} outside the open interval (0, 1)")
+        bad = [a for r in self.rows for a in r if not 0.0 < a < 1.0]
+        if bad:
+            raise InvalidMatrixError(f"entry {bad[0]!r} outside the open interval (0, 1)")
         for i in range(n):
             col = sum(r[i] for r in self.rows)
             if abs(col - 1.0) > SUM_TO_ONE_SLACK:
@@ -76,9 +74,9 @@ class DistributionMatrix:
     @staticmethod
     def from_rows(values) -> "DistributionMatrix":
         try:
-            rows = tuple(tuple(float(a) for a in row) for row in values)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad distribution matrix: {exc}") from exc
+            rows = tuple([_floats(row, "distribution matrix entry") for row in values])
+        except TypeError as exc:  # not iterable
+            raise InputError(f"bad distribution matrix {values!r}: {exc}") from exc
         return DistributionMatrix(rows)
 
     @property
@@ -108,8 +106,6 @@ class ThetaWeights:
 
     def __post_init__(self):
         for side, values in (("incoming", self.incoming), ("outgoing", self.outgoing)):
-            if not values:
-                raise InputError(f"{side} weights cannot be empty")
             if any(not w > 0.0 for w in values):
                 raise InputError(f"{side} weights must be strictly positive")
             if abs(sum(values) - 1.0) > SUM_TO_ONE_SLACK:
@@ -121,14 +117,11 @@ class ThetaWeights:
                             (1.0 / topology.m,) * topology.m)
 
     @staticmethod
-    def from_flat(values, n: int) -> "ThetaWeights":
-        try:
-            flat = tuple(float(w) for w in values)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad weight vector: {exc}") from exc
-        if len(flat) <= n:
-            raise InputError(f"weight vector needs more than {n} entries")
-        return ThetaWeights(flat[:n], flat[n:])
+    def from_flat(values, topology: NodeTopology) -> "ThetaWeights":
+        flat = _floats(values, "theta weight")
+        if len(flat) != topology.total:
+            raise InputError(f"theta needs n + m = {topology.total} weights, got {flat}")
+        return ThetaWeights(flat[:topology.n], flat[topology.n:])
 
 
 @dataclass(frozen=True)
@@ -642,7 +635,7 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
         elif delta < 0.0:
             ihi = 0 if f[0] > f[1] else 1
             jhi, jlo = (2, 3) if f[2] >= f[3] else (3, 2)
-            if f[jlo] > f[ihi]:
+            if f[jlo] > f[ihi] + FLUX_TIE:
                 tr = [rho[0], rho[1], rho[0], rho[1]]
             else:
                 tr = rho.copy()
@@ -650,7 +643,7 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
         else:
             ilo, ihi = (0, 1) if f[0] <= f[1] else (1, 0)
             jhi = 2 if f[2] >= f[3] else 3
-            if f[ilo] > f[jhi]:
+            if f[ilo] > f[jhi] + FLUX_TIE:
                 tr = [rho[2], rho[3], rho[2], rho[3]]
             else:
                 tr = rho.copy()
@@ -715,10 +708,8 @@ def solver_from_config(model: FluxModel, config, topology: NodeTopology):
         return RS2Solver(model, _theta_from(config, topology))
     if name == "rs3":
         _check_arcs(name, topology)
-        try:
-            gamma_j = float(config.get("gamma_j", math.inf))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad crossing capacity: {exc}") from exc
+        gamma_j = _parameter(config["gamma_j"], "crossing capacity gamma_j") \
+            if "gamma_j" in config else math.inf
         return RS3Solver(model, _theta_from(config, topology),
                          CrossingCapacity(gamma_j))
     if name == "rs_1x1":
@@ -731,6 +722,6 @@ def solver_from_config(model: FluxModel, config, topology: NodeTopology):
 
 
 def _theta_from(config, topology: NodeTopology) -> ThetaWeights:
-    if "theta" in config:
-        return ThetaWeights.from_flat(config["theta"], topology.n)
+    if "theta" in config:  # n + m weights; rs3 reads the first n
+        return ThetaWeights.from_flat(config["theta"], topology)
     return ThetaWeights.uniform(topology)

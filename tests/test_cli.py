@@ -652,6 +652,53 @@ def test_hostile_flux_parameters_exit_1(tmp_path, capsys, command, flux):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+#: documents with a string, a bool or an out-of-range number where a number belongs,
+#: or a theta vector of the wrong length, each with the command that reads it.
+NON_NUMBER_DOCUMENTS = {
+    "rs3-strings": ("solve", {
+        "state": {"n": 2, "m": 2, "rho": ["0.3", "0.8", 0.6, 0.1]},
+        "solver": {"solver": "rs3", "theta": ["0.5", 0.5, 1.0], "gamma_j": "0.7"}}),
+    "rs1-string-matrix": ("solve", {
+        "state": {"n": 2, "m": 2, "rho": [0.75, 0.125, 0.9, 0.1]},
+        "solver": {"solver": "rs1", "A": [["0.3333", 0.5], [0.6667, "0.5"]]}}),
+    "entropy-string-and-bool": ("entropy", {
+        "state": {"n": 1, "m": 1, "rho": ["0.5", True]}}),
+    "expression-bool": ("solve", {
+        "state": {"n": 1, "m": 1, "rho": [0.5, {"expr": "True"}]},
+        "solver": {"solver": "rs_1x1"}}),
+    "rs2-short-theta": ("solve", {
+        "state": {"n": 2, "m": 2, "rho": [0.3, 0.8, 0.6, 0.1]},
+        "solver": {"solver": "rs2", "theta": [0.5, 0.5, 1.0]}}),
+    "rs3-short-theta": ("solve", {
+        "state": {"n": 2, "m": 2, "rho": [0.3, 0.8, 0.6, 0.1]},
+        "solver": {"solver": "rs3", "theta": [0.5, 0.5, 1.0]}}),
+    "rs2-long-theta": ("simulate", {
+        "state": {"n": 2, "m": 2, "rho": [0.3, 0.8, 0.6, 0.1]},
+        "solver": {"solver": "rs2", "theta": [0.5, 0.5, 0.25, 0.25, 0.5]}}),
+}
+
+
+@pytest.mark.parametrize("command, doc", NON_NUMBER_DOCUMENTS.values(),
+                         ids=NON_NUMBER_DOCUMENTS)
+def test_non_numbers_in_documents_exit_1(tmp_path, capsys, command, doc):
+    assert main([command, "--input", write_doc(tmp_path, "d.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_integer_beyond_the_float_range_exits_1(tmp_path, capsys, digits):
+    path = tmp_path / "d.json"
+    path.write_text('{"state": {"n": 1, "m": 1, "rho": [0.5, 0.5]}, '
+                    '"flux": {"kind": "quadratic", "params": {"coefficient": 1'
+                    + "0" * digits + '}}, "solver": {"solver": "rs_1x1"}}')
+    assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
 def _deep_json(shape: str, depth: int) -> str:
     if shape == "arrays":
         return "[" * depth + "0.5" + "]" * depth

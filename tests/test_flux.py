@@ -19,10 +19,17 @@ from junction_riemann import (
     FluxModel,
     InadmissibleFluxError,
     InfeasibleFluxError,
+    DistributionMatrix,
     InputError,
     NodeTopology,
     RiemannState,
+    ThetaWeights,
+    TopologyError,
+    face_objective_equivalence,
+    make_grids,
+    solver_from_config,
 )
+from junction_riemann.cli import eval_expr
 from oracles import (bisect_flux_inverse, bits, invert_reference, tau_reference,
                      value_reference)
 
@@ -507,6 +514,73 @@ HOSTILE_FLUXES = {
 def test_hostile_flux_parameters_raise_input_error(kind, args):
     with pytest.raises(InputError):
         getattr(FluxModel, kind)(*args)
+
+
+T11, T22 = NodeTopology(1, 1), NodeTopology(2, 2)
+QUAD = FluxModel.quadratic()
+#: every reader of document numbers, each with a value it must refuse, the error it
+#: raises, and that value, which the message must name.
+GATED_READERS = {
+    "tabulated-samples-not-a-list": (
+        lambda: FluxModel.tabulated(5, (0.0, 0.5, 0.0)), InputError, 5),
+    "state-string-density": (
+        lambda: RiemannState.from_json({"n": 1, "m": 1, "rho": ["0.5", 0.5]}),
+        InputError, "0.5"),
+    "state-bool-density": (
+        lambda: RiemannState.from_json({"n": 1, "m": 1, "rho": [0.5, True]}),
+        InputError, True),
+    "state-densities-not-a-list": (
+        lambda: RiemannState.from_json({"n": 1, "m": 1, "rho": "0.5"}),
+        InputError, "0.5"),
+    "matrix-string-entry": (
+        lambda: DistributionMatrix.from_rows([["0.5", 0.5], [0.5, 0.5]]),
+        InputError, "0.5"),
+    "matrix-not-iterable": (lambda: DistributionMatrix.from_rows(5), InputError, 5),
+    "theta-string-weight": (
+        lambda: ThetaWeights.from_flat(["0.5", 0.5, 0.5, 0.5], T22), InputError, "0.5"),
+    "gamma_j-string": (
+        lambda: solver_from_config(QUAD, {"solver": "rs3", "gamma_j": "0.7"}, T22),
+        InputError, "0.7"),
+    "gamma_j-bool": (
+        lambda: solver_from_config(QUAD, {"solver": "rs3", "gamma_j": True}, T22),
+        InputError, True),
+    "grid-string-profile": (lambda: make_grids(T11, ["0.5", 0.5], cells=4),
+                            InputError, "0.5"),
+    "grid-bool-profile": (lambda: make_grids(T11, [True, 0.5], cells=4),
+                          InputError, True),
+    "expression-bool-constant": (lambda: eval_expr("True"), InputError, True),
+    "huge-integer-parameter": (lambda: FluxModel.quadratic(10 ** 400), InputError,
+                               10 ** 400),
+    "fractional-active-set-index": (
+        lambda: face_objective_equivalence(
+            QUAD, RiemannState(T22, (0.75, 0.125, 0.9, 0.1)),
+            [[1 / 3, 1 / 2], [2 / 3, 1 / 2]], [1.5], samples=2),
+        InputError, 1.5),
+    "fractional-arc-index": (lambda: T22.is_incoming(1.5), TopologyError, 1.5),
+    "bool-arc-index": (lambda: T22.is_incoming(True), TopologyError, True),
+}
+
+
+@pytest.mark.parametrize("read, error, value", GATED_READERS.values(),
+                         ids=GATED_READERS)
+def test_readers_refuse_a_value_that_is_not_a_number(read, error, value):
+    with pytest.raises(error) as caught:
+        read()
+    assert repr(value) in str(caught.value)
+
+
+def test_readers_accept_numpy_numbers():
+    columns = np.array([[1.0, 2.0], [3.0, 2.0]])
+    matrix = DistributionMatrix.from_rows(columns / columns.sum(axis=0))
+    assert matrix.rows == ((0.25, 0.5), (0.75, 0.5))
+    rho = np.linspace(0.0, 1.0, 5)
+    model = FluxModel.tabulated(rho, rho * (1.0 - rho))
+    assert model.params["rho"] == (0.0, 0.25, 0.5, 0.75, 1.0)
+    theta = ThetaWeights.from_flat(np.array([0.5, 0.5, 0.25, 0.75]), T22)
+    assert theta.outgoing == (0.25, 0.75)
+    assert T22.is_incoming(np.int64(1)) and not T22.is_incoming(np.int32(2))
+    state = RiemannState.from_json({"n": np.int64(1), "m": 1, "rho": rho[1:3]})
+    assert state.rho == (0.25, 0.5)
 
 
 def test_numpy_parameters_are_accepted():

@@ -805,17 +805,66 @@ def test_2x2_entropy_solver_all_good_data(quad):
     assert got.state.rho == (0.5, 0.5, 0.5, 0.5)
 
 
-def test_2x2_entropy_solver_properties(quad):
+def _entropy_draws(model, topology, rng, count):
+    """``count`` each of uniform, boundary-biased and mirror-pair data on a 1x1 or
+    2x2 node, from a seeded ``rng``.
+
+    A boundary-biased datum is 0, 1, sigma, sigma -+ 1e-13, x or tau(x) for a uniform
+    x. A mirror-pair state puts tau(x) of a datum x on the other side of the node, x
+    on a 0.01 grid, so an incoming and an outgoing flux tie up to rounding.
+    """
+    s, tau = model.sigma, model.tau
+    grid = np.arange(1, 100) / 100
+    free, jam = grid[grid < s], grid[grid > s]
+    for _ in range(count):
+        yield random_state(rng, topology)
+        x = float(rng.uniform())
+        pool = (0.0, 1.0, s, s - 1e-13, s + 1e-13, x, tau(x))
+        draw = rng.integers(len(pool), size=topology.total)
+        yield RiemannState(topology, tuple(pool[i] for i in draw))
+        a, b = (float(v) for v in rng.choice(free, 2))
+        c, d = (float(v) for v in rng.choice(jam, 2))
+        if topology == T11:
+            yield RiemannState(T11, (a, tau(a)))
+            yield RiemannState(T11, (tau(c), c))
+        else:
+            yield RiemannState(T22, (a, b, tau(b), c))
+            yield RiemannState(T22, (tau(c), a, c, d))
+
+
+def test_2x2_entropy_solver_properties(any_model):
     rng = default_rng(67)
-    for _ in range(500):
-        state = random_state(rng, T22)
-        out = rs_e1_2x2_solve(quad, state)
-        assert out.balanced
-        assert out.admissible
-        assert check_E1(quad, out.state).satisfied_E1
-        assert classify_2x2(quad, out.state).admissible
-        again = rs_e1_2x2_solve(quad, out.state)
+    for state in _entropy_draws(any_model, T22, rng, 500):
+        out = rs_e1_2x2_solve(any_model, state)
+        assert out.balanced and out.admissible, state.rho
+        assert check_E1(any_model, out.state).satisfied_E1, state.rho
+        assert classify_2x2(any_model, out.state).admissible, state.rho
+        again = rs_e1_2x2_solve(any_model, out.state)
         assert out.state.rho == pytest.approx(again.state.rho, abs=1e-10)
+
+
+def test_1x1_solver_properties(any_model):
+    rng = default_rng(71)
+    for state in _entropy_draws(any_model, T11, rng, 500):
+        out = rs_1x1_solve(any_model, state)
+        assert out.balanced and out.admissible, state.rho
+        assert check_E1(any_model, out.state).satisfied_E1, state.rho
+        again = rs_1x1_solve(any_model, out.state)
+        assert out.state.rho == pytest.approx(again.state.rho, abs=1e-10)
+
+
+@pytest.mark.parametrize("rho, traces", [
+    ((0.09, 0.08, 0.92, 0.92), (0.92, 0.08, 0.92, 0.92)),
+    ((0.01, 0.02, 0.98, 0.98), (0.01, 0.02, 0.01, 0.98)),
+], ids=["incoming-tie", "outgoing-tie"])
+def test_2x2_entropy_solver_keeps_the_datum_at_a_flux_tie(quad, rho, traces):
+    """All four data bad, and the smaller incoming flux equals the larger outgoing
+    one up to rounding: the datum whose mirror is on the other side is kept, not
+    moved to that mirror, which is the excluded end of its admissible set."""
+    out = rs_e1_2x2_solve(quad, RiemannState(T22, rho))
+    assert out.balanced and out.admissible
+    assert check_E1(quad, out.state).satisfied_E1
+    assert out.state.rho == pytest.approx(traces, abs=1e-12)
 
 
 # -- configuration loading ----------------------------------------------------------------
@@ -855,6 +904,14 @@ def test_solver_from_config_errors(quad):
         solver_from_config(quad, {"solver": "rs_1x1"}, T22)
     with pytest.raises(InputError):
         solver_from_config(quad, {"solver": "rs2", "theta": [1.0]}, T22)
+
+
+@pytest.mark.parametrize("solver", ["rs2", "rs3"])
+@pytest.mark.parametrize("theta", [[0.5, 0.5, 1.0], [0.5, 0.5, 0.25, 0.25, 0.5]],
+                         ids=["short", "long"])
+def test_theta_needs_exactly_n_plus_m_weights(quad, solver, theta):
+    with pytest.raises(InputError, match="n \\+ m = 4 weights"):
+        solver_from_config(quad, {"solver": solver, "theta": theta}, T22)
 
 
 # -- solver handles ----------------------------------------------------------------------
