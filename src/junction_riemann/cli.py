@@ -9,8 +9,8 @@ and ``reproduce`` (re-derive every pinned numeric result and compare; no options
 
 Exit codes: 0 success, 1 malformed input or a usage error, 2 failed precondition.
 
-Documents are JSON; any number may be written as {"expr": "(8+sqrt(34))/16"} and is
-evaluated exactly at load time (only +, -, *, /, sqrt and parentheses are allowed).
+Documents are JSON; any number may be written as {"expr": "(8+sqrt(34))/16"}, and one
+walk over the document evaluates each as it is read (only +, -, *, /, sqrt, parentheses).
 Every number is finite, not a string or a bool; n, m and the face's H and samples are
 integers; "theta" holds n + m weights (rs3 reads the first n); no "gamma_j" is no cap.
 The environment variable JUNCTION_RIEMANN_SEED seeds the sampling-based blocks (the
@@ -28,7 +28,7 @@ import sys
 from .entropy import check_E1, check_E2, classify_2x2, entropy_flux, \
     face_objective_equivalence
 from .errors import InputError, PreconditionError
-from .flux import FluxModel, _integer, _parameter
+from .flux import FluxModel, _floats, _integer, _parameter
 from .junction import NodeTopology, RiemannState
 from .netsim import SimConfig, make_grids, run, summary_json, write_mass_csv, \
     write_snapshots_csv
@@ -50,6 +50,7 @@ def format_float(x: float) -> str:
 
 # -- expression evaluation --------------------------------------------------------------
 
+_NESTED = (dict, list)
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
            ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b}
 
@@ -102,17 +103,16 @@ def _resolve(obj):
         if set(obj.keys()) == {"expr"}:
             return eval_expr(obj["expr"])
         return {k: _resolve(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_resolve(v) for v in obj]
+    if isinstance(obj, list):  # no call for a number, so long profiles stay cheap
+        return [_resolve(v) if isinstance(v, _NESTED) else v for v in obj]
     return obj
 
 
 # -- document plumbing -------------------------------------------------------------------
 
-def _read_json(path: str, what: str, keep: str | None = None):
-    """The JSON document in ``path`` with its {"expr"} numbers evaluated, except
-    under the top-level key ``keep``, whose reader evaluates them as it checks
-    them; any unreadable, malformed or too deeply nested file raises InputError."""
+def _read_json(path: str, what: str):
+    """The JSON document in ``path`` with its {"expr"} numbers evaluated; any
+    unreadable, malformed or too deeply nested file raises InputError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -122,15 +122,13 @@ def _read_json(path: str, what: str, keep: str | None = None):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is nested too deeply") from exc
-    if keep is not None and isinstance(doc, dict) and keep in doc:
-        return {k: v if k == keep else resolve_numbers(v) for k, v in doc.items()}
     return resolve_numbers(doc)
 
 
-def load_document(path: str | None, keep: str | None = None) -> dict:
+def load_document(path: str | None) -> dict:
     if not path:
         raise InputError("this command needs --input FILE")
-    doc = _read_json(path, "input file", keep)
+    doc = _read_json(path, "input file")
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     return doc
@@ -143,10 +141,10 @@ def parse_state(doc: dict) -> RiemannState:
     return RiemannState.from_json(obj)
 
 
-def _load_node(args, keep: str | None = None) -> tuple[dict, FluxModel, RiemannState]:
-    """The ``--input`` document (its {"expr"} numbers evaluated, except under
-    ``keep``), its flux model and its node state."""
-    doc = load_document(args.input, keep)
+def _load_node(args) -> tuple[dict, FluxModel, RiemannState]:
+    """The ``--input`` document (its {"expr"} numbers evaluated), its flux model and
+    its node state."""
+    doc = load_document(args.input)
     return doc, FluxModel.from_json(doc.get("flux")), parse_state(doc)
 
 
@@ -235,31 +233,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _number(value, what: str) -> float:
-    """``value``, or the {"expr"} number it holds, through ``_parameter``."""
-    return _parameter(resolve_numbers(value), what)
-
-
-def _numbers(value, what: str) -> list[float]:
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list of numbers, got {value!r}")
-    isfinite = math.isfinite
-    return [v if v.__class__ is float and isfinite(v) else _number(v, what)
-            for v in value]
-
-
 def parse_simulation(doc: dict, state: RiemannState) -> dict:
     """The simulate fields of a document, as keyword arguments of ``SimConfig``
     (``cfl``, ``t_end``) and of ``make_grids`` (``initial``, ``cells``,
     ``length``), plus ``snapshots``. The initial profiles default to the state's
-    densities; their {"expr"} numbers may still be unevaluated, and are evaluated
-    in the same pass that checks them. Any malformed field raises InputError."""
-    cells = _number(doc.get("cells", 200), "'cells'")
+    densities. Any malformed field raises InputError."""
+    cells = _parameter(doc.get("cells", 200), "'cells'")
     if cells != int(cells):
         raise InputError(f"'cells' must be an integer, got {doc['cells']!r}")
     initial = doc.get("initial", list(state.rho))
-    if isinstance(initial, dict):
-        initial = resolve_numbers(initial)
     if not isinstance(initial, list):
         raise InputError(f"'initial' must be a list, got {initial!r}")
     uniform = sum(not isinstance(p, list) for p in initial)
@@ -267,18 +249,18 @@ def parse_simulation(doc: dict, state: RiemannState) -> dict:
         raise InputError(f"'cells' {int(cells)} on {uniform} uniform arcs exceeds "
                          f"{MAX_CELLS} cells in all")
     return {
-        "cfl": _number(doc.get("cfl", 0.5), "'cfl'"),
-        "t_end": _number(doc.get("t_end", 1.0), "'t_end'"),
-        "initial": [_numbers(p, "'initial' profile") if isinstance(p, list)
-                    else _number(p, "'initial' value") for p in initial],
+        "cfl": _parameter(doc.get("cfl", 0.5), "'cfl'"),
+        "t_end": _parameter(doc.get("t_end", 1.0), "'t_end'"),
+        "initial": [_floats(p, "'initial' profile") if isinstance(p, list)
+                    else _parameter(p, "'initial' value") for p in initial],
         "cells": int(cells),
-        "length": _number(doc.get("length", 1.0), "'length'"),
-        "snapshots": _numbers(doc.get("snapshots", []), "'snapshots'"),
+        "length": _parameter(doc.get("length", 1.0), "'length'"),
+        "snapshots": _floats(doc.get("snapshots", []), "'snapshots'"),
     }
 
 
 def cmd_simulate(args) -> int:
-    doc, model, state = _load_node(args, keep="initial")
+    doc, model, state = _load_node(args)
     solver = build_solver(doc, args, model, state.topology)
     sim = parse_simulation(doc, state)
     config = SimConfig(flux=model, solver=solver, cfl=sim["cfl"], t_end=sim["t_end"])

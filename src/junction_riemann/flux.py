@@ -78,9 +78,11 @@ class FluxInterval:
 
 
 def _check_density(rho: float, what: str = "density") -> float:
-    if 0.0 <= rho <= RHO_MAX:  # NaN fails this and reaches the raise below
+    if rho.__class__ is float and 0.0 <= rho <= RHO_MAX:  # NaN fails this
         return rho
-    if not math.isfinite(rho) or rho < -DENSITY_SLACK or rho > RHO_MAX + DENSITY_SLACK:
+    if not _real(rho):  # a bool, a string or None
+        raise InputError(f"{what} must be a real number, got {rho!r}")
+    if rho < -DENSITY_SLACK or rho > RHO_MAX + DENSITY_SLACK or not math.isfinite(rho):
         raise DomainError(f"{what} {rho!r} outside [0, {RHO_MAX}]")
     return min(max(rho, 0.0), RHO_MAX)
 
@@ -93,13 +95,17 @@ def _check_densities(rho: np.ndarray) -> None:
         raise DomainError(f"densities outside [0, {RHO_MAX}]")
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is an int or a float, numpy's too, and not a bool."""
+    return not isinstance(value, (bool, np.bool_)) \
+        and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _parameter(value, what: str) -> float:
     """``value`` as a float; InputError unless it is a finite real number (a bool,
     a string, None or an integer beyond the float range is not)."""
     try:
-        if not isinstance(value, (bool, np.bool_)) \
-                and isinstance(value, (int, float, np.integer, np.floating)) \
-                and math.isfinite(value):
+        if _real(value) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
@@ -109,9 +115,11 @@ def _parameter(value, what: str) -> float:
 def _floats(values, what: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats, each item through :func:`_parameter`;
     InputError unless it is an iterable that is not a string or a mapping."""
+    isfinite = math.isfinite
     try:
         if not isinstance(values, (str, bytes, Mapping)):
-            return tuple([_parameter(v, what) for v in values])
+            return tuple([v if v.__class__ is float and isfinite(v)
+                          else _parameter(v, what) for v in values])
     except TypeError:  # not iterable; _parameter raises no TypeError
         pass
     raise InputError(f"need a list of {what} values, got {values!r}")

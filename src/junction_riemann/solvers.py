@@ -21,16 +21,15 @@ maximization is one bounded-variable primal simplex with Bland's rule, whose cos
 grows polynomially with the arc count in practice, and the capped-simplex projection
 is one sorted breakpoint walk for the KKT shift, after Kiwiel 2008. Only the
 uniqueness-class test :func:`matrix_in_n` enumerates subsets, in chunks of bounded size.
-An :class:`RS1Solver` handle carries the simplex's last optimal basis from call to
-call and skips the pivots while that basis still fits; its outputs do not depend
-on what it solved before.
+Each :class:`DistributionMatrix` keeps the simplex's last optimal basis, and rs1 skips
+the pivots while that basis still fits; no output depends on what was solved before.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter, mul
 from typing import Mapping, Sequence
@@ -39,7 +38,8 @@ import numpy as np
 
 from .errors import (DegeneracyError, InadmissibleFluxError, InputError,
                      InvalidMatrixError, TopologyError)
-from .flux import DECREASING, INCREASING, FluxInterval, FluxModel, _floats, _parameter
+from .flux import (DECREASING, INCREASING, FluxInterval, FluxModel, _floats, _parameter,
+                   _real)
 from .junction import NodeTopology, RiemannState, TraceSolution
 from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_COST_TOL, LP_MATCH_TOL,
                          LP_PIVOT_TOL, RANK_TOL, SIGMA_TIE, SUM_TO_ONE_SLACK)
@@ -58,26 +58,27 @@ class DistributionMatrix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if not self.rows or not self.rows[0]:
+        rows = tuple([_floats(row, "distribution matrix entry") for row in self.rows])
+        object.__setattr__(self, "rows", rows)
+        if not rows or not rows[0]:
             raise InvalidMatrixError("distribution matrix cannot be empty")
-        n = len(self.rows[0])
-        if any(len(r) != n for r in self.rows):
+        n = len(rows[0])
+        if any(len(r) != n for r in rows):
             raise InvalidMatrixError("distribution matrix rows have unequal lengths")
-        bad = [a for r in self.rows for a in r if not 0.0 < a < 1.0]
+        bad = [a for r in rows for a in r if not 0.0 < a < 1.0]
         if bad:
             raise InvalidMatrixError(f"entry {bad[0]!r} outside the open interval (0, 1)")
         for i in range(n):
-            col = sum(r[i] for r in self.rows)
+            col = sum(r[i] for r in rows)
             if abs(col - 1.0) > SUM_TO_ONE_SLACK:
                 raise InvalidMatrixError(f"column {i} sums to {col!r}, expected 1")
 
     @staticmethod
     def from_rows(values) -> "DistributionMatrix":
         try:
-            rows = tuple([_floats(row, "distribution matrix entry") for row in values])
+            return DistributionMatrix(values)
         except TypeError as exc:  # not iterable
             raise InputError(f"bad distribution matrix {values!r}: {exc}") from exc
-        return DistributionMatrix(rows)
 
     @property
     def m(self) -> int:
@@ -96,6 +97,12 @@ class DistributionMatrix:
         its first use, so rs1 certifies a matrix once, not on every solve."""
         return matrix_in_n(self)
 
+    @cached_property
+    def _basis(self) -> list:
+        """A one-item cell for the LP's last optimal basis of this matrix (see
+        :func:`lp_maximize_box_polytope`); it takes no part in equality or hashing."""
+        return [None]
+
 
 @dataclass(frozen=True)
 class ThetaWeights:
@@ -105,7 +112,9 @@ class ThetaWeights:
     outgoing: tuple[float, ...]
 
     def __post_init__(self):
-        for side, values in (("incoming", self.incoming), ("outgoing", self.outgoing)):
+        for side in ("incoming", "outgoing"):
+            values = _floats(getattr(self, side), "theta weight")
+            object.__setattr__(self, side, values)
             if any(not w > 0.0 for w in values):
                 raise InputError(f"{side} weights must be strictly positive")
             if abs(sum(values) - 1.0) > SUM_TO_ONE_SLACK:
@@ -131,7 +140,7 @@ class CrossingCapacity:
     gamma_j: float
 
     def __post_init__(self):
-        if not self.gamma_j > 0.0:
+        if not (_real(self.gamma_j) and self.gamma_j > 0.0):
             raise InputError(f"crossing capacity must be positive, got {self.gamma_j!r}")
 
 
@@ -178,7 +187,7 @@ def _in_n_cached(rows: tuple[tuple[float, ...], ...]) -> bool:
 # -- linear programming over the demand box / supply polytope --------------------------
 
 def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float],
-                             matrix, warm: list | None = None) -> tuple[float, ...]:
+                             matrix) -> tuple[float, ...]:
     """Maximize sum(gamma) over {0 <= gamma <= caps_in, 0 <= A gamma <= caps_out}.
 
     One bounded-variable primal simplex (Dantzig's upper-bounding technique) in
@@ -196,14 +205,16 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     optimum with no tie, needs no face run, and gives its fluxes by one formula of
     the matrix, the basis and the caps (:func:`_basis_record`), so they are the
     same bits whichever pivot path found it; any other basis keeps the simplex's
-    values. ``warm``, a one-item list, carries such a basis between calls
-    (warm-starting, Bixby 2002). At the new caps it is evaluated with no pivot; if
-    every basic flux and slack lies more than ``LP_MATCH_TOL`` inside its bounds,
-    it is the one optimal basis, where every pivot path ends, and its fluxes are
-    returned. Otherwise the call starts cold and holds its own final basis if that
-    has the formula. The result never depends on what ``warm`` held.
+    values. A :class:`DistributionMatrix` holds such a basis between calls
+    (warm-starting, Bixby 2002); a matrix given as rows of numbers starts cold. At
+    the new caps the held basis is evaluated with no pivot; if every basic flux and
+    slack lies more than ``LP_MATCH_TOL`` inside its bounds, it is the one optimal
+    basis, where every pivot path ends, and its fluxes are returned. Otherwise the
+    call starts cold and holds its own final basis if that has the formula. The
+    result never depends on what the matrix held.
     """
-    rows = matrix.rows if isinstance(matrix, DistributionMatrix) else \
+    warm = matrix._basis if isinstance(matrix, DistributionMatrix) else None
+    rows = matrix.rows if warm is not None else \
         tuple(tuple(float(a) for a in row) for row in matrix)
     b = [float(x) for x in caps_in]
     c = [float(x) for x in caps_out]
@@ -217,25 +228,24 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
 def _lp_solve(rows: tuple[tuple[float, ...], ...], b: list[float], c: list[float],
               warm: list | None) -> tuple[float, ...]:
     """:func:`lp_maximize_box_polytope` for m x n ``rows`` and float caps b (n of
-    them) and c (m), each at least ``-CAP_SLACK``."""
+    them) and c (m), each at least ``-CAP_SLACK``; ``warm`` is the basis cell of
+    the matrix of ``rows``, or None."""
     n, m = len(b), len(c)
     # variables 0..n-1 are gamma, n..n+m-1 the slacks c - A gamma; caps clamped at 0
     b = [x if x > 0.0 else 0.0 for x in b]
     c = [x if x > 0.0 else 0.0 for x in c]
     start = warm[0] if warm is not None else None
-    if start is not None and start[0] == rows:
+    if start is not None:
         gamma = _fluxes_at(start, b, c)
-        if _strictly_inside(start, gamma, b, c):
+        if _strictly_inside(rows, start, gamma, b, c):
             return tuple(gamma)
-    else:
-        start = None
     upper = b + [math.inf] * m
     x = [0.0] * n + c
     T = [list(row) for row in rows]
     basis, cols, cost = list(range(n, n + m)), list(range(n)), [1.0] * n
     _pivot_to_optimum(T, basis, cols, cost, x, upper, ())
     key = tuple(sorted(basis))
-    record = start if start is not None and start[1] == key else _basis_record(rows, key)
+    record = start if start is not None and start[0] == key else _basis_record(rows, key)
     if record is not None:
         if warm is not None:
             warm[0] = record
@@ -276,7 +286,7 @@ def _basis_record(rows: tuple[tuple[float, ...], ...],
     while p < m and basis[p] < n:
         p += 1
     if not p:  # every flux at its upper bound, every row loose
-        return rows, basis, (), tuple(range(n)), ()
+        return basis, (), tuple(range(n)), ()
     tight = tuple([j for j in range(m) if n + j not in basis])
     aug = [[*rows[j], *[0.0] * p] for j in tight]
     for k in range(p):
@@ -308,7 +318,7 @@ def _basis_record(rows: tuple[tuple[float, ...], ...],
             if d > 0.0:
                 up.append(i)
     # the rows are never written again
-    return rows, basis, tight, tuple(up), tuple(aug)
+    return basis, tight, tuple(up), tuple(aug)
 
 
 def _fluxes_at(record: tuple, b: list[float], c: list[float]) -> list[float]:
@@ -319,7 +329,7 @@ def _fluxes_at(record: tuple, b: list[float], c: list[float]) -> list[float]:
     the others, then c[tight]), that is inverse (c[tight] - A[tight, up] b[up]),
     summed in one fixed order.
     """
-    _, basis, tight, up, aug = record
+    basis, tight, up, aug = record
     n = len(b)
     gamma, z = [0.0] * n, [0.0] * n
     for i in up:
@@ -335,11 +345,11 @@ def _fluxes_at(record: tuple, b: list[float], c: list[float]) -> list[float]:
     return gamma
 
 
-def _strictly_inside(record: tuple, gamma: list[float], b: list[float],
-                     c: list[float]) -> bool:
-    """Whether every basic flux and slack of ``record`` lies more than
-    ``LP_MATCH_TOL`` inside its bounds at ``gamma`` and the caps b, c."""
-    rows, basis, _, _, aug = record
+def _strictly_inside(rows: tuple[tuple[float, ...], ...], record: tuple,
+                     gamma: list[float], b: list[float], c: list[float]) -> bool:
+    """Whether every basic flux and slack of ``record``, a basis of ``rows``, lies
+    more than ``LP_MATCH_TOL`` inside its bounds at ``gamma`` and the caps b, c."""
+    basis, _, _, aug = record
     n, tol = len(b), LP_MATCH_TOL
     for i in basis[:len(aug)]:
         if not tol < gamma[i] < b[i] - tol:
@@ -493,10 +503,10 @@ def _check_arcs(solver: str, topology: NodeTopology, n: int | None = None,
 
 
 def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
-              initial: RiemannState, warm: list | None = None) -> TraceSolution:
+              initial: RiemannState) -> TraceSolution:
     """Maximize total incoming flux routed through the distribution matrix.
 
-    ``warm`` carries the LP's optimal basis between calls (see
+    The matrix holds the LP's last optimal basis between calls (see
     :func:`lp_maximize_box_polytope`); it changes no output bit. The matrix's
     shape is checked on every call, its class verdict once per matrix.
     """
@@ -510,7 +520,7 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
     sups = [c.sup for c in caps]
     caps_out = sups[n:]
     # the caps are floats >= 0 and the shape is checked: the LP needs no checks
-    g_in = _lp_solve(matrix.rows, sups[:n], caps_out, warm)
+    g_in = _lp_solve(matrix.rows, sups[:n], caps_out, matrix._basis)
     gamma = list(g_in)
     for row, cap in zip(matrix.rows, caps_out):
         v = sum(map(mul, row, g_in))
@@ -656,18 +666,14 @@ def rs_e1_2x2_solve(model: FluxModel, initial: RiemannState) -> TraceSolution:
 
 @dataclass(frozen=True)
 class RS1Solver:
-    """rs1 with a fixed model and matrix, carrying the LP's last optimal basis from
-    call to call (see :func:`lp_maximize_box_polytope`) as one immutable record in
-    a one-item list, replaced by a single assignment. It returns the same bits as a
-    fresh :func:`rs1_solve`, whatever it solved before."""
+    """rs1 with a fixed model and matrix; written out rather than made by
+    :func:`_handle`, whose generic call costs more on this hot path."""
 
     model: FluxModel
     matrix: DistributionMatrix
-    basis: list = field(default_factory=lambda: [None], init=False, repr=False,
-                        compare=False)
 
     def __call__(self, state: RiemannState) -> TraceSolution:
-        return rs1_solve(self.model, self.matrix, state, self.basis)
+        return rs1_solve(self.model, self.matrix, state)
 
 
 def _handle(name: str, solve: str, *params: str) -> type:

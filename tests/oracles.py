@@ -153,6 +153,26 @@ def entropy_flux_reference(model, state, k: float) -> float:
     return total
 
 
+def flux_numpy(model, rho) -> np.ndarray:
+    """f(rho) for an array of densities, in numpy from the model's kind and
+    parameters alone, without any of its methods."""
+    rho, p = np.asarray(rho, dtype=float), model.params
+    if model.kind == "quadratic":
+        return p["coefficient"] * rho * (1.0 - rho)
+    if model.kind == "triangular":
+        s, fm = p["sigma"], p["f_max"]
+        return np.where(rho <= s, fm * rho / s, fm * (1.0 - rho) / (1.0 - s))
+    return np.interp(rho, p["rho"], p["flux"])
+
+
+def entropy_flux_numpy(model, rho, n: int, k: float) -> float:
+    """F(rho, k) at an n x m node by :func:`flux_numpy`: the incoming terms
+    sgn(rho_l - k) (f(rho_l) - f(k)) summed, minus the outgoing ones."""
+    rho = np.asarray(rho, dtype=float)
+    terms = np.sign(rho - k) * (flux_numpy(model, rho) - flux_numpy(model, k))
+    return float(terms[:n].sum() - terms[n:].sum())
+
+
 def check_E1_reference(model, state, tol: float) -> tuple:
     """(candidates, min_value, argmin_k, value_at_sigma) of (E1) on the candidate set
     {0, 1, sigma} union {rho_l}, with F and f(k) recomputed for every candidate; the

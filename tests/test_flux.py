@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from junction_riemann import (
     DECREASING,
     INCREASING,
+    CrossingCapacity,
     DomainError,
     FluxInterval,
     FluxModel,
@@ -25,6 +26,7 @@ from junction_riemann import (
     RiemannState,
     ThetaWeights,
     TopologyError,
+    entropy_flux,
     face_objective_equivalence,
     make_grids,
     solver_from_config,
@@ -558,6 +560,32 @@ GATED_READERS = {
         InputError, 1.5),
     "fractional-arc-index": (lambda: T22.is_incoming(1.5), TopologyError, 1.5),
     "bool-arc-index": (lambda: T22.is_incoming(True), TopologyError, True),
+    # the public constructors and the density checks of the flux methods
+    "state-constructor-bool-density": (lambda: RiemannState(T11, (True, 0.5)),
+                                       InputError, True),
+    "state-constructor-numpy-bool-density": (
+        lambda: RiemannState(T11, (0.5, np.bool_(False))), InputError, np.bool_(False)),
+    "state-constructor-string-density": (lambda: RiemannState(T11, ("0.5", 0.5)),
+                                         InputError, "0.5"),
+    "value-bool": (lambda: QUAD.value(True), InputError, True),
+    "value-string": (lambda: QUAD.value("0.5"), InputError, "0.5"),
+    "tau-bool": (lambda: QUAD.tau(False), InputError, False),
+    "tau-none": (lambda: QUAD.tau(None), InputError, None),
+    "entropy-constant-bool": (
+        lambda: entropy_flux(QUAD, RiemannState(T11, (0.5, 0.5)), True), InputError, True),
+    "entropy-constant-string": (
+        lambda: entropy_flux(QUAD, RiemannState(T11, (0.5, 0.5)), "0.5"), InputError,
+        "0.5"),
+    "matrix-constructor-string-entry": (
+        lambda: DistributionMatrix((("0.5", 0.5), (0.5, 0.5))), InputError, "0.5"),
+    "matrix-constructor-nan-entry": (
+        lambda: DistributionMatrix(((math.nan, 0.5), (0.5, 0.5))), InputError, math.nan),
+    "theta-constructor-bool-weights": (lambda: ThetaWeights((True,), (True,)),
+                                       InputError, True),
+    "theta-constructor-string-weight": (lambda: ThetaWeights((1.0,), ("1.0",)),
+                                        InputError, "1.0"),
+    "crossing-capacity-bool": (lambda: CrossingCapacity(True), InputError, True),
+    "crossing-capacity-string": (lambda: CrossingCapacity("0.7"), InputError, "0.7"),
 }
 
 
@@ -567,6 +595,18 @@ def test_readers_refuse_a_value_that_is_not_a_number(read, error, value):
     with pytest.raises(error) as caught:
         read()
     assert repr(value) in str(caught.value)
+
+
+def test_density_checks_keep_domain_error_for_numbers():
+    for rho in (math.nan, math.inf, -0.5, 1.5, 10 ** 400, np.float64(2.0)):
+        with pytest.raises(DomainError):
+            RiemannState(T11, (rho, 0.5))
+        with pytest.raises(DomainError):
+            QUAD.value(rho)
+    # within the density slack a number is clamped, an in-range one kept
+    assert QUAD.tau(np.float64(0.25)) == 0.75 and QUAD.tau(1) == 0.0
+    assert RiemannState(T11, (np.int64(1), 0)).rho == (1.0, 0.0)
+    assert CrossingCapacity(math.inf).gamma_j == math.inf
 
 
 def test_readers_accept_numpy_numbers():

@@ -520,11 +520,16 @@ def test_run_with_a_prewarmed_rs1_handle_is_bit_identical(any_model, n, m):
         if matrix_in_n(matrix, topo):
             break
     grids, unrelated = _kernel_grids(topo, rng), _kernel_grids(topo, rng)
-    cold = run(SimConfig(any_model, lambda state: rs1_solve(any_model, matrix, state),
-                         cfl=0.9), grids, steps=KERNEL_STEPS)
+
+    def cold_rs1(state):
+        fresh = DistributionMatrix(matrix.rows)  # its basis cell starts empty
+        assert fresh._basis == [None]
+        return rs1_solve(any_model, fresh, state)
+
+    cold = run(SimConfig(any_model, cold_rs1, cfl=0.9), grids, steps=KERNEL_STEPS)
     handle = RS1Solver(any_model, matrix)
     run(SimConfig(any_model, handle, cfl=0.9), unrelated, steps=KERNEL_STEPS)
-    assert handle.basis[0] is not None
+    assert matrix._basis[0] is not None
     warmed = run(SimConfig(any_model, handle, cfl=0.9), grids, steps=KERNEL_STEPS)
     assert _run_bits(warmed) == _run_bits(cold)
 

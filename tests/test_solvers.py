@@ -91,6 +91,21 @@ def test_theta_validation():
     assert uniform.outgoing == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
+def test_list_built_parameters_equal_tuple_built_ones(any_model):
+    listed = DistributionMatrix([[1 / 3, 1 / 2], [2 / 3, 1 / 2]])
+    assert listed.rows == MATRIX_2X2.rows and hash(listed) == hash(MATRIX_2X2)
+    rng = default_rng(5500)
+    for _ in range(40):
+        state = random_state(rng, T22)
+        assert bits(rs1_solve(any_model, listed, state)) == \
+            bits(rs1_solve(any_model, _cold(MATRIX_2X2), state))
+    theta = ThetaWeights([0.5, 0.5], np.array([0.25, 0.75]))
+    assert (theta.incoming, theta.outgoing) == ((0.5, 0.5), (0.25, 0.75))
+    handle = RS2Solver(any_model, ThetaWeights((0.5, 0.5), (0.25, 0.75)))
+    assert RS2Solver(any_model, theta) == handle
+    assert hash(RS2Solver(any_model, theta)) == hash(handle)
+
+
 def test_crossing_capacity_validation():
     assert CrossingCapacity(7 / 6).gamma_j == 7 / 6
     assert CrossingCapacity(math.inf).gamma_j == math.inf
@@ -584,19 +599,27 @@ def _warm_states(rng, model, topo, count: int) -> list[RiemannState]:
     return states
 
 
+def _cold(matrix: DistributionMatrix) -> DistributionMatrix:
+    """A new matrix of the same rows, whose basis cell is still empty, so that rs1
+    and the LP start cold on it."""
+    fresh = DistributionMatrix(matrix.rows)
+    assert fresh._basis == [None]
+    return fresh
+
+
 @pytest.mark.parametrize("n,m", WARM_SIZES)
 def test_rs1_handle_is_free_of_history(any_model, n, m, monkeypatch):
     rng = default_rng(5100 + 10 * n + m)
     topo = NodeTopology(n, m)
     matrix = _certified_matrix(rng, n, m)
     states = _warm_states(rng, any_model, topo, 40)
-    fresh = [bits(rs1_solve(any_model, matrix, s)) for s in states]
+    fresh = [bits(rs1_solve(any_model, _cold(matrix), s)) for s in states]
     pivots = []
     pivot = solvers_module._pivot_to_optimum
     monkeypatch.setattr(solvers_module, "_pivot_to_optimum",
                         lambda *args: pivots.append(1) or pivot(*args))
-    forward = RS1Solver(any_model, matrix)
-    backward = RS1Solver(any_model, matrix)
+    forward = RS1Solver(any_model, _cold(matrix))
+    backward = RS1Solver(any_model, _cold(matrix))
     assert [bits(forward(s)) for s in states] == fresh
     assert [bits(backward(s)) for s in reversed(states)][::-1] == fresh
     # the held basis answered some of the calls without a pivot
@@ -615,7 +638,8 @@ def test_rs1_warm_and_cold_fluxes_match_the_oracles(any_model, n, m):
         caps_out = [any_model.supply(r).sup for r in state.outgoing]
         want = lp_vertex_reference(caps_in, caps_out, matrix.rows)
         best = lp_linprog_value(caps_in, caps_out, A)
-        for got in (handle(state).gamma[:n], rs1_solve(any_model, matrix, state).gamma[:n]):
+        for got in (handle(state).gamma[:n],
+                    rs1_solve(any_model, _cold(matrix), state).gamma[:n]):
             assert _agrees_with_reference(got, want)
             assert sum(got) == pytest.approx(best, abs=1e-8)
 
@@ -638,27 +662,25 @@ def test_prewarmed_lp_raises_exactly_where_a_cold_one_does():
                  rng.uniform(scale, 1.0, matrix.m).tolist())
                 for scale in (0.0, 0.9) for _ in range(30)]
         rng.shuffle(caps)
-        cold = [_outcome(lp_maximize_box_polytope, b, c, matrix) for b, c in caps]
+        cold = [_outcome(lp_maximize_box_polytope, b, c, _cold(matrix)) for b, c in caps]
         assert DegeneracyError in cold and any(o is not DegeneracyError for o in cold)
-        warm = [None]
-        lp_maximize_box_polytope((0.5, 0.5), (1.0, 1.0), MATRIX_2X2, warm)
-        assert warm[0] is not None
-        assert [_outcome(lp_maximize_box_polytope, b, c, matrix, warm)
-                for b, c in caps] == cold
-        # the loose caps left a basis of this matrix in the cell
-        assert warm[0][0] is matrix.rows
+        warm = _cold(matrix)
+        lp_maximize_box_polytope((0.1,) * matrix.n, (1.0,) * matrix.m, warm)
+        assert warm._basis[0] is not None
+        assert [_outcome(lp_maximize_box_polytope, b, c, warm) for b, c in caps] == cold
 
 
 def test_prewarmed_rs1_handle_raises_exactly_where_a_fresh_one_does(quad):
     rng = default_rng(5400)
-    warmed = RS1Solver(quad, MATRIX_2X2)
+    warmed = RS1Solver(quad, _cold(MATRIX_2X2))
     warmed(random_state(rng, T22))
+    assert warmed.matrix._basis[0] is not None
     doubled = RS1Solver(quad, A_DOUBLED)
-    doubled.basis[0] = warmed.basis[0]
     for _ in range(20):
         state = random_state(rng, T22)
         assert _outcome(doubled, state) is InvalidMatrixError
-        assert _outcome(warmed, state) == _outcome(rs1_solve, quad, MATRIX_2X2, state)
+        assert _outcome(warmed, state) == _outcome(rs1_solve, quad, _cold(MATRIX_2X2),
+                                                   state)
 
 
 # -- RS2 --------------------------------------------------------------------------------
@@ -949,7 +971,7 @@ def test_handles_are_frozen_dataclasses_of_their_parameters(quad):
         assert cls.__name__ == cls.__qualname__
         assert getattr(solvers_module, cls.__name__) is cls
         assert cls.__module__ == "junction_riemann.solvers"
-        names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+        names = tuple(f.name for f in dataclasses.fields(cls))
         assert names == HANDLE_FIELDS[cls]
         # positional construction from the fields, equality and hashing by field
         params = [getattr(handle, name) for name in names[1:]]
@@ -959,12 +981,12 @@ def test_handles_are_frozen_dataclasses_of_their_parameters(quad):
         for name in [f.name for f in dataclasses.fields(cls)]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(handle, name, None)
-    # rs1's held basis takes no part in equality or hashing
-    warm, cold = RS1Solver(quad, MATRIX_2X2), RS1Solver(quad, MATRIX_2X2)
+    # the basis its matrix holds takes no part in equality or hashing
+    warm, cold = RS1Solver(quad, _cold(MATRIX_2X2)), RS1Solver(quad, _cold(MATRIX_2X2))
     warm(state)
-    assert warm.basis != cold.basis and warm == cold
-    warm, cold = RS1Solver("model", MATRIX_2X2), RS1Solver("model", MATRIX_2X2)
-    warm.basis[0] = "held"
+    assert warm.matrix._basis != cold.matrix._basis and warm == cold
+    warm, cold = RS1Solver("model", _cold(MATRIX_2X2)), RS1Solver("model", MATRIX_2X2)
+    warm.matrix._basis[0] = "held"
     assert warm == cold and hash(warm) == hash(cold)
     theta = ThetaWeights.uniform(T22)
     assert RS2Solver(quad, theta) != RS3Solver(quad, theta, CrossingCapacity(1.0))
@@ -980,12 +1002,13 @@ def test_handles_hash_and_serve_as_dict_keys(any_model):
     assert len(table) == len(cases)
     for k, (handle, _, _) in enumerate(_handle_cases(any_model)):
         assert hash(handle) == hash(cases[k][0]) and table[handle] == k
-    # rs1's held basis stays out of the hash, and so does the model's scalar kernel
-    warm = cases[0][0]
+    # the basis rs1's matrix holds stays out of the hash, and so does the model's
+    # scalar kernel
+    warm = RS1Solver(any_model, _cold(MATRIX_2X2))
     before = hash(warm)
     warm(state)
-    assert warm.basis[0] is not None and "_scalar" in vars(warm.model)
-    assert hash(warm) == before and table[RS1Solver(any_model, MATRIX_2X2)] == 0
+    assert warm.matrix._basis[0] is not None and "_scalar" in vars(warm.model)
+    assert hash(warm) == before and table[warm] == 0
 
 
 def test_each_handle_returns_the_bits_of_its_solve(any_model):
