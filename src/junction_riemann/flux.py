@@ -264,7 +264,12 @@ class FluxModel:
         """Flux at density ``rho``; accepts scalars or numpy arrays."""
         if np.isscalar(rho):
             return self._value(_check_density(rho))
-        arr = np.asarray(rho, dtype=float)
+        arr = np.asarray(rho)
+        # numpy reads [True, 0.5] as floats: each item of a list is gated too
+        if arr.dtype.kind not in "iuf" or arr is not rho and not all(
+                map(_real, np.asarray(rho, dtype=object).ravel())):
+            raise InputError(f"densities must be real numbers, got {rho!r}")
+        arr = np.asarray(arr, dtype=float)
         _check_densities(arr)
         return self._value(np.clip(arr, 0.0, RHO_MAX))
 
@@ -339,6 +344,8 @@ class FluxModel:
         """
         if branch not in (INCREASING, DECREASING):
             raise InputError(f"unknown branch {branch!r}")
+        if gamma.__class__ is not float and not _real(gamma):
+            raise InputError(f"flux must be a real number, got {gamma!r}")
         if not math.isfinite(gamma) or gamma < -FLUX_SLACK \
                 or gamma > self.f_max + FLUX_SLACK:
             raise InfeasibleFluxError(

@@ -69,9 +69,12 @@ class RiemannState:
     rho: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.rho) != self.topology.total:
-            raise InputError(
-                f"expected {self.topology.total} densities, got {len(self.rho)}")
+        try:
+            count = len(self.rho)
+        except TypeError as exc:  # not a sequence
+            raise InputError(f"need a sequence of densities, got {self.rho!r}") from exc
+        if count != self.topology.total:
+            raise InputError(f"expected {self.topology.total} densities, got {count}")
         clean = tuple([float(_check_density(r)) for r in self.rho])
         object.__setattr__(self, "rho", clean)
 

@@ -21,8 +21,9 @@ maximization is one bounded-variable primal simplex with Bland's rule, whose cos
 grows polynomially with the arc count in practice, and the capped-simplex projection
 is one sorted breakpoint walk for the KKT shift, after Kiwiel 2008. Only the
 uniqueness-class test :func:`matrix_in_n` enumerates subsets, in chunks of bounded size.
-Each :class:`DistributionMatrix` keeps the simplex's last optimal basis, and rs1 skips
-the pivots while that basis still fits; no output depends on what was solved before.
+Each :class:`DistributionMatrix` keeps the last ``_HELD_BASES`` optimal bases the
+simplex found on it, and rs1 skips the pivots when one of them fits; no output depends
+on what was solved before.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ from .tolerances import (CAP_SLACK, FLUX_SLACK, FLUX_TIE, LP_COST_TOL, LP_MATCH_
 #: C(20, 9) = 167 960 subsets to test; in chunks, each test holds about 4 MB.
 _RANK_CHUNK = 4096
 
+#: optimal LP bases a :class:`DistributionMatrix` holds, most recently used first.
+#: A small node has a handful; a 6x6 one hundreds, so the bound caps a miss's cost.
+_HELD_BASES = 32
+
 
 # -- parameter types ------------------------------------------------------------------
 
@@ -58,7 +63,10 @@ class DistributionMatrix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple([_floats(row, "distribution matrix entry") for row in self.rows])
+        try:
+            rows = tuple([_floats(row, "distribution matrix entry") for row in self.rows])
+        except TypeError as exc:  # not iterable; _floats raises no TypeError
+            raise InputError(f"bad distribution matrix {self.rows!r}: {exc}") from exc
         object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise InvalidMatrixError("distribution matrix cannot be empty")
@@ -75,10 +83,7 @@ class DistributionMatrix:
 
     @staticmethod
     def from_rows(values) -> "DistributionMatrix":
-        try:
-            return DistributionMatrix(values)
-        except TypeError as exc:  # not iterable
-            raise InputError(f"bad distribution matrix {values!r}: {exc}") from exc
+        return DistributionMatrix(values)
 
     @property
     def m(self) -> int:
@@ -99,8 +104,11 @@ class DistributionMatrix:
 
     @cached_property
     def _basis(self) -> list:
-        """A one-item cell for the LP's last optimal basis of this matrix (see
-        :func:`lp_maximize_box_polytope`); it takes no part in equality or hashing."""
+        """A one-item cell for the LP's optimal bases of this matrix (see
+        :func:`lp_maximize_box_polytope`): None, then a tuple of at most
+        ``_HELD_BASES`` records, most recently used first, replaced whole on each
+        change, so a thread never sees half of one. It takes no part in equality or
+        hashing."""
         return [None]
 
 
@@ -205,13 +213,15 @@ def lp_maximize_box_polytope(caps_in: Sequence[float], caps_out: Sequence[float]
     optimum with no tie, needs no face run, and gives its fluxes by one formula of
     the matrix, the basis and the caps (:func:`_basis_record`), so they are the
     same bits whichever pivot path found it; any other basis keeps the simplex's
-    values. A :class:`DistributionMatrix` holds such a basis between calls
-    (warm-starting, Bixby 2002); a matrix given as rows of numbers starts cold. At
-    the new caps the held basis is evaluated with no pivot; if every basic flux and
-    slack lies more than ``LP_MATCH_TOL`` inside its bounds, it is the one optimal
-    basis, where every pivot path ends, and its fluxes are returned. Otherwise the
-    call starts cold and holds its own final basis if that has the formula. The
-    result never depends on what the matrix held.
+    values. A :class:`DistributionMatrix` holds up to ``_HELD_BASES`` such bases
+    between calls, most recently used first (warm-starting, Bixby 2002); a matrix
+    given as rows of numbers starts cold. At the new caps each held basis in turn
+    is evaluated with no pivot; the first whose basic fluxes and slacks all lie
+    more than ``LP_MATCH_TOL`` inside their bounds is the one optimal basis, where
+    every pivot path ends, and its fluxes are returned. Otherwise the call starts
+    cold and holds its own final basis first if that has the formula, dropping the
+    least recently used one past the bound. The result never depends on what the
+    matrix held.
     """
     warm = matrix._basis if isinstance(matrix, DistributionMatrix) else None
     rows = matrix.rows if warm is not None else \
@@ -229,15 +239,18 @@ def _lp_solve(rows: tuple[tuple[float, ...], ...], b: list[float], c: list[float
               warm: list | None) -> tuple[float, ...]:
     """:func:`lp_maximize_box_polytope` for m x n ``rows`` and float caps b (n of
     them) and c (m), each at least ``-CAP_SLACK``; ``warm`` is the basis cell of
-    the matrix of ``rows``, or None."""
+    the matrix of ``rows`` (:attr:`DistributionMatrix._basis`), or None."""
     n, m = len(b), len(c)
     # variables 0..n-1 are gamma, n..n+m-1 the slacks c - A gamma; caps clamped at 0
     b = [x if x > 0.0 else 0.0 for x in b]
     c = [x if x > 0.0 else 0.0 for x in c]
-    start = warm[0] if warm is not None else None
-    if start is not None:
-        gamma = _fluxes_at(start, b, c)
-        if _strictly_inside(rows, start, gamma, b, c):
+    z = [-x for x in b] + c
+    held = (warm[0] or ()) if warm is not None else ()
+    for k, record in enumerate(held):
+        gamma = _fluxes_at(record, b, z, rows)
+        if gamma is not None:
+            if k:
+                warm[0] = (record, *held[:k], *held[k + 1:])
             return tuple(gamma)
     upper = b + [math.inf] * m
     x = [0.0] * n + c
@@ -245,12 +258,13 @@ def _lp_solve(rows: tuple[tuple[float, ...], ...], b: list[float], c: list[float
     basis, cols, cost = list(range(n, n + m)), list(range(n)), [1.0] * n
     _pivot_to_optimum(T, basis, cols, cost, x, upper, ())
     key = tuple(sorted(basis))
-    record = start if start is not None and start[0] == key else _basis_record(rows, key)
+    known = [r for r in held if r[0] == key]
+    record = known[0] if known else _basis_record(rows, key)
     if record is not None:
-        if warm is not None:
-            warm[0] = record
+        if warm is not None:  # first, and the least recently used past the bound out
+            warm[0] = (record, *[r for r in held if r is not record][:_HELD_BASES - 1])
         return tuple([(v if v < u else u) if v > 0.0 else 0.0
-                      for v, u in zip(_fluxes_at(record, b, c), b)])
+                      for v, u in zip(_fluxes_at(record, b, z), b)])
     free = [k for k, d in enumerate(cost) if -LP_COST_TOL <= d <= LP_COST_TOL
             and upper[cols[k]] > 0.0]
     best = x[:n]
@@ -272,7 +286,9 @@ def _basis_record(rows: tuple[tuple[float, ...], ...],
                   basis: tuple[int, ...]) -> tuple | None:
     """The basis ``basis`` (its basic variables in ascending order: fluxes 0..n-1,
     then the slack n + j of each loose row j) as one immutable record, or None
-    unless every nonbasic reduced cost lies beyond ``LP_COST_TOL``.
+    unless every nonbasic reduced cost lies beyond ``LP_COST_TOL``. The record is
+    (basis, the fluxes at their cap, the columns that :func:`_fluxes_at` reads, the
+    elimination's row of each basic flux on those columns).
 
     Gauss-Jordan elimination of [A[tight] | I] on the basic flux columns, in order
     and with partial pivoting, leaves the inverse of A[tight, basic] in place of I
@@ -286,7 +302,7 @@ def _basis_record(rows: tuple[tuple[float, ...], ...],
     while p < m and basis[p] < n:
         p += 1
     if not p:  # every flux at its upper bound, every row loose
-        return basis, (), tuple(range(n)), ()
+        return basis, tuple(range(n)), (), ()
     tight = tuple([j for j in range(m) if n + j not in basis])
     aug = [[*rows[j], *[0.0] * p] for j in tight]
     for k in range(p):
@@ -317,50 +333,43 @@ def _basis_record(rows: tuple[tuple[float, ...], ...],
                 return None
             if d > 0.0:
                 up.append(i)
-    # the rows are never written again
-    return basis, tight, tuple(up), tuple(aug)
+    # a basic row reads the fluxes at their cap, then the tight rows (n + j in z)
+    pick = (*up, *[n + j for j in tight])
+    return basis, tuple(up), pick, tuple([(*[row[i] for i in up], *row[n:])
+                                          for row in aug])
 
 
-def _fluxes_at(record: tuple, b: list[float], c: list[float]) -> list[float]:
-    """gamma at the basis of ``record`` for the caps b, c (clamped at 0).
+def _fluxes_at(record: tuple, b: list[float], z: list[float],
+               rows: tuple[tuple[float, ...], ...] | None = None) -> list[float] | None:
+    """gamma at the basis of ``record`` for the caps b, c (clamped at 0), given as
+    ``z`` = -b then c.
 
     A nonbasic flux sits at 0 or at its cap b. The basic flux of row k of the
-    record's elimination is that row times (-b on the fluxes at their cap, 0 on
-    the others, then c[tight]), that is inverse (c[tight] - A[tight, up] b[up]),
-    summed in one fixed order.
+    record's elimination is that row times (-b on the fluxes at their cap, then
+    c[tight]), that is inverse (c[tight] - A[tight, up] b[up]), summed in one fixed
+    order. Given ``rows``, the matrix of the record, it is None unless every basic
+    flux and slack lies more than ``LP_MATCH_TOL`` inside its bounds, and it stops
+    at the first that does not.
     """
-    basis, tight, up, aug = record
-    n = len(b)
-    gamma, z = [0.0] * n, [0.0] * n
+    basis, up, pick, coef = record
+    n, tol = len(b), LP_MATCH_TOL
+    gamma = [0.0] * n
+    for i, row in zip(basis, coef):
+        v = 0.0
+        for a, k in zip(row, pick):
+            v += a * z[k]
+        if rows is not None and not tol < v < b[i] - tol:
+            return None
+        gamma[i] = v
     for i in up:
         gamma[i] = b[i]
-        z[i] = -b[i]
-    for j in tight:
-        z.append(c[j])
-    for i, row in zip(basis, aug):
-        v = 0.0
-        for a, w in zip(row, z):
-            v += a * w
-        gamma[i] = v
-    return gamma
-
-
-def _strictly_inside(rows: tuple[tuple[float, ...], ...], record: tuple,
-                     gamma: list[float], b: list[float], c: list[float]) -> bool:
-    """Whether every basic flux and slack of ``record``, a basis of ``rows``, lies
-    more than ``LP_MATCH_TOL`` inside its bounds at ``gamma`` and the caps b, c."""
-    basis, _, _, aug = record
-    n, tol = len(b), LP_MATCH_TOL
-    for i in basis[:len(aug)]:
-        if not tol < gamma[i] < b[i] - tol:
-            return False
-    for k in basis[len(aug):]:
-        slack = c[k - n]
+    for k in basis[len(coef):] if rows is not None else ():
+        slack = z[k]
         for a, g in zip(rows[k - n], gamma):
             slack -= a * g
         if not slack > tol:
-            return False
-    return True
+            return None
+    return gamma
 
 
 def _pivot_to_optimum(T: list[list[float]], basis: list[int], cols: list[int],
@@ -506,8 +515,8 @@ def rs1_solve(model: FluxModel, matrix: DistributionMatrix,
               initial: RiemannState) -> TraceSolution:
     """Maximize total incoming flux routed through the distribution matrix.
 
-    The matrix holds the LP's last optimal basis between calls (see
-    :func:`lp_maximize_box_polytope`); it changes no output bit. The matrix's
+    The matrix holds the LP's recent optimal bases between calls (see
+    :func:`lp_maximize_box_polytope`); they change no output bit. The matrix's
     shape is checked on every call, its class verdict once per matrix.
     """
     topo = initial.topology

@@ -586,6 +586,16 @@ GATED_READERS = {
                                         InputError, "1.0"),
     "crossing-capacity-bool": (lambda: CrossingCapacity(True), InputError, True),
     "crossing-capacity-string": (lambda: CrossingCapacity("0.7"), InputError, "0.7"),
+    # numpy reads a bool or a numeric string in a list as a number
+    "value-list-bool": (lambda: QUAD.value([True, 0.5]), InputError, True),
+    "value-list-int-and-bool": (lambda: QUAD.value((1, np.bool_(True))), InputError,
+                                np.bool_(True)),
+    "value-list-string": (lambda: QUAD.value(["0.5"]), InputError, "0.5"),
+    "value-string-array": (lambda: QUAD.value(np.array(["0.5"])), InputError, "0.5"),
+    "invert-bool": (lambda: QUAD.invert(True, "increasing"), InputError, True),
+    "invert-string": (lambda: QUAD.invert("0.5", "decreasing"), InputError, "0.5"),
+    "matrix-constructor-not-iterable": (lambda: DistributionMatrix(5), InputError, 5),
+    "state-constructor-not-a-sequence": (lambda: RiemannState(T11, 5), InputError, 5),
 }
 
 

@@ -7,7 +7,9 @@ on both sides and boundary-biased data; the flux-maximization solver rs1 and the
 per-line solver rs3 each get one pinned violating datum (a witness) per square node
 from 2x2 to 5x5. F(rho, sigma) is also evaluated in numpy from the flux's parameters
 (``oracles.entropy_flux_numpy``), so a fault of ``FluxModel`` cannot hide on both
-sides. Every stream of data is seeded, so the witnesses are found again on each run.
+sides. rs1 is also checked to be idempotent, through one handle whose matrix holds
+its optimal bases, on nodes from 3x3 to 5x5. Every stream of data is seeded, so the
+witnesses are found again on each run.
 """
 
 from __future__ import annotations
@@ -73,16 +75,35 @@ def test_rs2_satisfies_E2_on_square_nodes(any_model, n):
         assert _value_at_sigma(any_model, out) >= -ENTROPY_TOL
 
 
+def _certified_matrix(rng, topo) -> DistributionMatrix:
+    """The first seeded m x n matrix, columns uniform on [0.1, 1] then normalized,
+    that is in the uniqueness class."""
+    while True:
+        columns = rng.uniform(0.1, 1.0, (topo.m, topo.n))
+        matrix = DistributionMatrix(columns / columns.sum(axis=0))
+        if matrix_in_n(matrix, topo):
+            return matrix
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)])
+def test_rs1_is_idempotent_with_a_warm_handle(any_model, n, m):
+    # test_criterion_09 covers rs1 on the 2x2 node only
+    rng = default_rng(6300 + 10 * n + m + 100 * KINDS.index(any_model.kind))
+    topo = NodeTopology(n, m)
+    solver = RS1Solver(any_model, _certified_matrix(rng, topo))
+    for _ in range(200):
+        out = solver(_data(rng, any_model, topo))
+        assert out.balanced and out.admissible
+        assert solver(out.state).state.rho == pytest.approx(out.state.rho, abs=1e-10)
+    assert solver.matrix._basis[0]
+
+
 def _witness_stream(model, n: int):
     """rs1 on a certified matrix and rs3 with one theta and crossing capacity, both
     seeded by the node size and the flux kind, then their seeded data."""
     rng = default_rng(6200 + 10 * n + KINDS.index(model.kind))
     topo = NodeTopology(n, n)
-    while True:
-        columns = rng.uniform(0.1, 1.0, (n, n))
-        matrix = DistributionMatrix(columns / columns.sum(axis=0))
-        if matrix_in_n(matrix, topo):
-            break
+    matrix = _certified_matrix(rng, topo)
     gamma_j = float(rng.uniform(0.3, 1.0)) * n * model.f_max
     solvers = {"rs1": RS1Solver(model, matrix),
                "rs3": RS3Solver(model, _theta(rng, n), CrossingCapacity(gamma_j))}

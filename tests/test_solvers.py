@@ -668,6 +668,22 @@ def test_prewarmed_lp_raises_exactly_where_a_cold_one_does():
         lp_maximize_box_polytope((0.1,) * matrix.n, (1.0,) * matrix.m, warm)
         assert warm._basis[0] is not None
         assert [_outcome(lp_maximize_box_polytope, b, c, warm) for b, c in caps] == cold
+    # a full cell of records of a 6x6 matrix outside the class (two equal columns)
+    columns = rng.uniform(0.1, 1.0, (6, 6))
+    columns[:, 1] = columns[:, 0]
+    matrix = DistributionMatrix(columns / columns.sum(axis=0))
+    caps = [(rng.uniform(0.0, 1.0, 6).tolist(), rng.uniform(scale, 1.0, 6).tolist())
+            for scale in (0.0, 0.9) for _ in range(30)]
+    cold = [_outcome(lp_maximize_box_polytope, b, c, _cold(matrix)) for b, c in caps]
+    assert DegeneracyError in cold and any(o is not DegeneracyError for o in cold)
+    full = _cold(matrix)
+    for _ in range(500):
+        _outcome(lp_maximize_box_polytope, rng.uniform(0.0, 1.0, 6).tolist(),
+                 rng.uniform(0.0, 1.0, 6).tolist(), full)
+        if len(full._basis[0] or ()) == solvers_module._HELD_BASES:
+            break
+    assert len(full._basis[0]) == solvers_module._HELD_BASES
+    assert [_outcome(lp_maximize_box_polytope, b, c, full) for b, c in caps] == cold
 
 
 def test_prewarmed_rs1_handle_raises_exactly_where_a_fresh_one_does(quad):
@@ -681,6 +697,57 @@ def test_prewarmed_rs1_handle_raises_exactly_where_a_fresh_one_does(quad):
         assert _outcome(doubled, state) is InvalidMatrixError
         assert _outcome(warmed, state) == _outcome(rs1_solve, quad, _cold(MATRIX_2X2),
                                                    state)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 5)])
+def test_a_held_basis_that_fits_answers_with_no_pivot(any_model, n, m, monkeypatch):
+    rng = default_rng(5500 + 10 * n + m)
+    topo = NodeTopology(n, m)
+    matrix = _certified_matrix(rng, n, m)
+    states = _warm_states(rng, any_model, topo, 80)
+    handle = RS1Solver(any_model, _cold(matrix))
+    first = [bits(handle(s)) for s in states]
+    held = handle.matrix._basis
+    assert 1 < len(held[0]) <= solvers_module._HELD_BASES
+    pivots, answered, pivot = [], 0, solvers_module._pivot_to_optimum
+    monkeypatch.setattr(solvers_module, "_pivot_to_optimum",
+                        lambda *args: pivots.append(1) or pivot(*args))
+    for state, want in zip(states, first):
+        caps = [c.sup for c in _caps(any_model, state)]
+        b, z = caps[:n], [-x for x in caps[:n]] + caps[n:]
+        fits = any(solvers_module._fluxes_at(record, b, z, matrix.rows) is not None
+                   for record in held[0])
+        before = len(pivots)
+        assert bits(handle(state)) == want
+        assert len(held[0]) <= solvers_module._HELD_BASES
+        if fits:  # any held record, not only the first, answers with no pivot
+            assert len(pivots) == before
+            # and the one that answered is tried first next time
+            assert solvers_module._fluxes_at(held[0][0], b, z, matrix.rows) is not None
+            answered += 1
+        else:
+            assert len(pivots) > before
+    # the boundary-biased half puts many data on a bound, where no basis fits
+    assert answered >= len(states) // 2
+
+
+def test_an_overflowing_cell_returns_the_bits_of_cold_solves(any_model):
+    rng = default_rng(5600)
+    topo = NodeTopology(6, 6)
+    matrix = _certified_matrix(rng, 6, 6)
+    states = [random_state(rng, topo) for _ in range(150)]
+    states += _warm_states(rng, any_model, topo, 60)
+    rng.shuffle(states)
+    cold = [_outcome(rs1_solve, any_model, _cold(matrix), s) for s in states]
+    handle = RS1Solver(any_model, _cold(matrix))
+    met = set()
+    for state, want in zip(states, cold):
+        assert _outcome(handle, state) == want
+        held = handle.matrix._basis[0]
+        assert len(held) <= solvers_module._HELD_BASES
+        met.update(record[0] for record in held)
+    # more bases than the cell holds were met, so it dropped some on the way
+    assert len(met) > solvers_module._HELD_BASES == len(held)
 
 
 # -- RS2 --------------------------------------------------------------------------------
